@@ -77,16 +77,12 @@ from .partitions import (
     IntegerPartition,
     Permutation,
     SetPartition,
-    atomic_decomposition,
     enumerate_partitions,
     mobius_from_bottom,
     mobius_interval,
     parse_partition,
     parts_factorial,
     multiplicity_factorial,
-    refines,
-    shape,
-    slash,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Callable, Iterable, Optional
 
@@ -53,13 +54,12 @@ DEFAULT_SUBSET_EDGE_LIMIT = 22
 DEFAULT_DELCON_BUDGET = 1 << 21
 
 _delcon_memo: dict[tuple, dict] = {}
-_auto_cache: dict[tuple, NCSymElement] = {}
 
 
 def clear_caches() -> None:
     """Drop the deletion-contraction memo and the shared result cache."""
     _delcon_memo.clear()
-    _auto_cache.clear()
+    _auto_route.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,10 @@ def csf_from_contraction_lattice(graph: LabeledGraph) -> NCSymElement:
 # route 3: deletion-contraction
 
 
+class _BudgetExhausted(Exception):
+    """Raised inside the recursion; reported with the limit by the caller."""
+
+
 def csf_by_deletion_contraction(graph: LabeledGraph,
                                 budget: Optional[int] = None) -> NCSymElement:
     """Deletion-contraction recursion, memoized on the exact labeled graph.
@@ -186,8 +190,13 @@ def csf_by_deletion_contraction(graph: LabeledGraph,
     contraction followed by induction, then undoes the relabeling.
     Disconnected graphs split into components first.
     """
-    remaining = [DEFAULT_DELCON_BUDGET if budget is None else budget]
-    terms = _delcon(graph, remaining)
+    limit = DEFAULT_DELCON_BUDGET if budget is None else budget
+    try:
+        terms = _delcon(graph, [limit])
+    except _BudgetExhausted:
+        raise ResourceLimitError(
+            "deletion-contraction expansion budget exhausted "
+            f"(limit {limit} expansions)") from None
     return NCSymElement._raw("p", graph.n, dict(terms))
 
 
@@ -197,9 +206,7 @@ def _delcon(graph: LabeledGraph, remaining: list[int]) -> dict:
     if hit is not None:
         return hit
     if remaining[0] <= 0:
-        raise ResourceLimitError(
-            "deletion-contraction expansion budget exhausted "
-            f"(limit {DEFAULT_DELCON_BUDGET} expansions)")
+        raise _BudgetExhausted
     remaining[0] -= 1
     n = graph.n
     if not graph.edges:
@@ -297,17 +304,7 @@ def chromatic_symmetric_function(graph: LabeledGraph,
     route returns an m-basis element, all others return p-basis.
     """
     if method == "auto":
-        key = graph.key()
-        hit = _auto_cache.get(key)
-        if hit is not None:
-            return hit
-        if len(graph.edges) <= 18:
-            out = csf_from_edge_subsets(graph)
-        elif graph.n <= max_ground_set():
-            out = csf_from_contraction_lattice(graph)
-        else:
-            out = csf_by_deletion_contraction(graph)
-        return _auto_cache.setdefault(key, out)
+        return _auto_route(graph)
     if method == "subset":
         return csf_from_edge_subsets(graph)
     if method == "mobius":
@@ -317,6 +314,15 @@ def chromatic_symmetric_function(graph: LabeledGraph,
     if method == "definition":
         return csf_from_colorings(graph)
     raise DomainError(f"unknown method {method!r}")
+
+
+@cache
+def _auto_route(graph: LabeledGraph) -> NCSymElement:
+    if len(graph.edges) <= 18:
+        return csf_from_edge_subsets(graph)
+    if graph.n <= max_ground_set():
+        return csf_from_contraction_lattice(graph)
+    return csf_by_deletion_contraction(graph)
 
 
 # ---------------------------------------------------------------------------

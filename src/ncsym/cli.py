@@ -54,31 +54,11 @@ def _emit(payload: dict, as_json: bool, render) -> None:
         render(payload)
 
 
-def _element_payload(f) -> dict:
-    return element_to_json_dict(f)
-
-
-def _render_element(payload: dict) -> None:
-    terms = payload["terms"]
-    if not terms:
-        print("0")
-        return
-    chunks = []
-    for term in terms:
-        coeff = Fraction(term["num"], term["den"])
-        lead = "-" if coeff < 0 else ("+" if chunks else "")
-        value = abs(coeff)
-        body = f"{payload['basis']}{{{term['partition']}}}"
-        piece = body if value == 1 else f"{value}*{body}"
-        chunks.append(f"{lead}{piece}" if not chunks else f"{lead} {piece}")
-    print(" ".join(chunks))
-
-
 def _cmd_expand(args: argparse.Namespace) -> int:
     graph = parse_graph(_read_input(args.graph))
     value = chromatic_symmetric_function(graph, method=args.method)
     value = convert(value, args.basis)
-    _emit(_element_payload(value), args.json, _render_element)
+    _emit(element_to_json_dict(value), args.json, lambda _: print(value))
     return 0
 
 
@@ -90,7 +70,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if f.basis != args.from_basis:
         raise DomainError(
             f"expression is in basis {f.basis!r}, not {args.from_basis!r}")
-    _emit(_element_payload(convert(f, args.to_basis)), args.json, _render_element)
+    value = convert(f, args.to_basis)
+    _emit(element_to_json_dict(value), args.json, lambda _: print(value))
     return 0
 
 
@@ -121,7 +102,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    result = run_suite(args.suite, args.n, seed=args.seed, workers=args.workers)
+    result = run_suite(args.suite, args.n, seed=args.seed)
     payload = result.to_json_dict()
 
     def render(data: dict) -> None:
@@ -218,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True, choices=SUITES)
     verify.add_argument("--n", required=True, type=int)
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(handler=_cmd_verify)
 

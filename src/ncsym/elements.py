@@ -13,13 +13,15 @@ The power-sum basis is the conversion hub: every change of basis routes
 through ``p``, multiplication concatenates indices (slash product), and the
 degree-raising operator and the symmetric group action act on ``p`` indices.
 Coefficients are exact rationals; zero coefficients are never stored.
-Expansion columns are computed lazily and published at most once per key, so
-concurrent readers always observe fully built dictionaries.
+Every column of a change of basis against ``p`` is a closed-form sum over one
+interval of the refinement order; columns are built on first use and cached
+until ``clear_caches``.  Cached columns are shared and must not be mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 from types import MappingProxyType
@@ -45,24 +47,12 @@ SYM_BASES = ("m", "p", "e", "h")
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_to_p_cache: dict[tuple[str, SetPartition], dict] = {}
-_from_p_cache: dict[tuple[str, SetPartition], dict] = {}
-_word_cache: dict[tuple[SetPartition, int], dict] = {}
-
 
 def clear_caches() -> None:
     """Drop all cached conversion columns and word tables."""
-    _to_p_cache.clear()
-    _from_p_cache.clear()
-    _word_cache.clear()
-
-
-def _memo(cache: dict, key, factory):
-    hit = cache.get(key)
-    if hit is None:
-        # setdefault publishes exactly one value even under racing computes
-        hit = cache.setdefault(key, factory())
-    return hit
+    _to_p_column.cache_clear()
+    _from_p_column.cache_clear()
+    _power_sum_words.cache_clear()
 
 
 def _accumulate(target: dict, key, delta: Fraction) -> None:
@@ -74,17 +64,14 @@ def _accumulate(target: dict, key, delta: Fraction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# change-of-basis columns against the power-sum basis
+# change-of-basis columns against the power-sum basis (Rosas-Sagan closed forms)
 
 
+@cache
 def _to_p_column(basis: str, pi: SetPartition) -> dict:
     """Expansion of the basis element b_pi over p, as {sigma: coefficient}."""
     if basis == "p":
         return {pi: _ONE}
-    return _memo(_to_p_cache, (basis, pi), lambda: _build_to_p(basis, pi))
-
-
-def _build_to_p(basis: str, pi: SetPartition) -> dict:
     if basis == "m":
         # p_pi sums m over coarsenings; invert with interval Moebius weights
         return {sigma: Fraction(mobius_interval(pi, sigma))
@@ -96,28 +83,16 @@ def _build_to_p(basis: str, pi: SetPartition) -> dict:
         return {sigma: Fraction(abs(mobius_from_bottom(sigma)))
                 for sigma in finer_partitions(pi)}
     if basis == "e":
-        # From the triangular system expressing p over e:
-        #   mu(bottom, pi) * p_pi = sum_{sigma <= pi} mu(sigma, pi) e_sigma
-        # solve for e_pi by back-substitution over the strictly finer sigma.
-        out = {pi: Fraction(mobius_from_bottom(pi))}
-        for sigma in finer_partitions(pi):
-            if sigma == pi:
-                continue
-            weight = mobius_interval(sigma, pi)
-            for tau, coeff in _to_p_column("e", sigma).items():
-                _accumulate(out, tau, -weight * coeff)
-        return out
+        return {sigma: Fraction(mobius_from_bottom(sigma))
+                for sigma in finer_partitions(pi)}
     raise DomainError(f"unknown basis {basis!r}")
 
 
+@cache
 def _from_p_column(basis: str, pi: SetPartition) -> dict:
     """Expansion of p_pi over the given basis, as {sigma: coefficient}."""
     if basis == "p":
         return {pi: _ONE}
-    return _memo(_from_p_cache, (basis, pi), lambda: _build_from_p(basis, pi))
-
-
-def _build_from_p(basis: str, pi: SetPartition) -> dict:
     if basis == "m":
         return {sigma: _ONE for sigma in coarser_partitions(pi)}
     if basis == "x":
@@ -127,17 +102,9 @@ def _build_from_p(basis: str, pi: SetPartition) -> dict:
         return {sigma: Fraction(mobius_interval(sigma, pi), bottom)
                 for sigma in finer_partitions(pi)}
     if basis == "h":
-        # h_pi = sum_{sigma <= pi} |mu(bottom, sigma)| p_sigma; invert by
-        # back-substitution over strictly finer sigma.
-        lead = Fraction(1, abs(mobius_from_bottom(pi)))
-        out = {pi: lead}
-        for sigma in finer_partitions(pi):
-            if sigma == pi:
-                continue
-            weight = abs(mobius_from_bottom(sigma)) * lead
-            for tau, coeff in _from_p_column("h", sigma).items():
-                _accumulate(out, tau, -weight * coeff)
-        return out
+        bottom = abs(mobius_from_bottom(pi))
+        return {sigma: Fraction(mobius_interval(sigma, pi), bottom)
+                for sigma in finer_partitions(pi)}
     raise DomainError(f"unknown basis {basis!r}")
 
 
@@ -395,7 +362,7 @@ def word_expansion(f: NCSymElement, k: int) -> dict[tuple[int, ...], Fraction]:
 
 def _basis_term_words(basis: str, pi: SetPartition, k: int) -> Iterable[tuple[int, ...]]:
     if basis == "p":
-        return _memo(_word_cache, (pi, k), lambda: _power_sum_words(pi, k))
+        return _power_sum_words(pi, k)
     if basis == "m":
         return _monomial_words(pi, k)
     if basis == "e":
@@ -411,6 +378,7 @@ def _fill(pi: SetPartition, values) -> tuple[int, ...]:
     return tuple(word)
 
 
+@cache
 def _power_sum_words(pi: SetPartition, k: int) -> dict[tuple[int, ...], int]:
     # every block takes one letter, letters free across blocks
     return {_fill(pi, assignment): 1
@@ -463,12 +431,7 @@ class SymElement:
             if lam.n != degree:
                 raise DomainError(
                     f"index {lam} has size {lam.n} but the element has degree {degree}")
-            coeff = Fraction(coeff)
-            total = cleaned.get(lam, _ZERO) + coeff
-            if total:
-                cleaned[lam] = total
-            else:
-                cleaned.pop(lam, None)
+            _accumulate(cleaned, lam, Fraction(coeff))
         self.basis = basis
         self.degree = degree
         self._terms = cleaned
@@ -505,11 +468,7 @@ class SymElement:
             raise DomainError("Sym addition requires matching bases")
         terms = dict(self._terms)
         for lam, coeff in other._terms.items():
-            total = terms.get(lam, _ZERO) + coeff
-            if total:
-                terms[lam] = total
-            else:
-                terms.pop(lam, None)
+            _accumulate(terms, lam, coeff)
         return SymElement._raw(self.basis, self.degree, terms)
 
     def __neg__(self):
@@ -568,12 +527,7 @@ def multiply_sym(f: SymElement, g: SymElement) -> SymElement:
     terms: dict[IntegerPartition, Fraction] = {}
     for lam, a in f._terms.items():
         for mu, b in g._terms.items():
-            key = IntegerPartition(lam.parts + mu.parts)
-            total = terms.get(key, _ZERO) + a * b
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
+            _accumulate(terms, IntegerPartition(lam.parts + mu.parts), a * b)
     return SymElement._raw("p", f.degree + g.degree, terms)
 
 
@@ -595,11 +549,7 @@ def project(f: NCSymElement) -> SymElement:
             scalar = parts_factorial(lam)
         else:
             scalar = multiplicity_factorial(lam)
-        total = out.get(lam, _ZERO) + coeff * scalar
-        if total:
-            out[lam] = total
-        else:
-            out.pop(lam, None)
+        _accumulate(out, lam, coeff * scalar)
     return SymElement._raw(source.basis, f.degree, out)
 
 

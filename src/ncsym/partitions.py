@@ -307,26 +307,6 @@ def coarser_partitions(pi: SetPartition) -> Iterator[SetPartition]:
         yield SetPartition._raw(pi.n, tuple(blocks))
 
 
-def refines(sigma: SetPartition, pi: SetPartition) -> bool:
-    """Functional form of SetPartition.refines."""
-    return sigma.refines(pi)
-
-
-def slash(pi: SetPartition, sigma: SetPartition) -> SetPartition:
-    """Functional form of SetPartition.slash."""
-    return pi.slash(sigma)
-
-
-def atomic_decomposition(pi: SetPartition) -> list[SetPartition]:
-    """Functional form of SetPartition.atomic_decomposition."""
-    return pi.atomic_decomposition()
-
-
-def shape(pi: SetPartition) -> "IntegerPartition":
-    """Functional form of SetPartition.shape."""
-    return pi.shape()
-
-
 def mobius_from_bottom(pi: SetPartition) -> int:
     """Moebius value of the interval from the all-singletons partition to pi.
 
@@ -463,8 +443,3 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)!r})"
-
-
-def apply_permutation(delta: Permutation, pi: SetPartition) -> SetPartition:
-    """Image of a set partition under a permutation of the ground set."""
-    return pi.permuted(delta)

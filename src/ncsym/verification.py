@@ -10,7 +10,6 @@ without an explicit seed.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -370,13 +369,11 @@ def needs_seed(suite: str, n: int) -> bool:
     return False
 
 
-def run_suite(suite: str, n: int, seed: Optional[int] = None,
-              workers: int = 1) -> SuiteResult:
+def run_suite(suite: str, n: int, seed: Optional[int] = None) -> SuiteResult:
     """Run one named suite and collect a deterministic result.
 
-    Instances are constructed up front in a fixed order; with workers > 1
-    the checks run on a thread pool but results are collected in instance
-    order, so reports are identical for any worker count.
+    Instances are constructed up front in a fixed order and checked in that
+    order, so repeated runs give identical reports.
     """
     builder = _SUITES.get(suite)
     if builder is None:
@@ -387,12 +384,8 @@ def run_suite(suite: str, n: int, seed: Optional[int] = None,
         _require_seed(suite, seed)
     checks = builder(n, seed)
     result = SuiteResult(suite, n, seed, total=len(checks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: c(), checks))
-    else:
-        outcomes = [check() for check in checks]
-    for outcome in outcomes:
+    for check in checks:
+        outcome = check()
         if outcome is None:
             result.passed += 1
         else:

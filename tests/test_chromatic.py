@@ -121,6 +121,7 @@ class TestDeletionContraction:
             csf_by_deletion_contraction(complete_graph_union(
                 SetPartition.single_block(5)), budget=5)
         assert "budget" in str(err.value)
+        assert "limit 5 expansions" in str(err.value)
         chromatic.clear_caches()
 
 

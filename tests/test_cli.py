@@ -53,6 +53,12 @@ class TestExpand:
         assert code == 0 and err == ""
         assert out.strip() == "x{1,2,3} + x{1,3/2}"
 
+    def test_fractional_coefficients_in_h(self, p3_file):
+        code, out, _ = run_cli("expand", "--graph", p3_file, "--basis", "h")
+        assert code == 0
+        assert out == ("1/2*h{1,2,3} - 3/2*h{1,2/3} - 1/2*h{1,3/2} "
+                       "- 3/2*h{1/2,3} + 4*h{1/2/3}\n")
+
     def test_clique_union_in_e(self, k13_2_file):
         code, out, _ = run_cli("expand", "--graph", k13_2_file, "--basis", "e")
         assert code == 0
@@ -195,13 +201,6 @@ class TestVerify:
     def test_unknown_suite_exits_2(self):
         code, _, err = run_cli("verify", "--suite", "nonsense", "--n", "3")
         assert code == 2
-
-    def test_worker_flag_output_is_identical(self):
-        _, serial, _ = run_cli("verify", "--suite", "epos-scan", "--n", "3",
-                               "--json")
-        _, threaded, _ = run_cli("verify", "--suite", "epos-scan", "--n", "3",
-                                 "--workers", "4", "--json")
-        assert serial == threaded
 
     def test_repeat_runs_are_byte_identical(self):
         first = run_cli("verify", "--suite", "relabeling", "--n", "4",

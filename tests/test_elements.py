@@ -88,7 +88,7 @@ class TestConversions:
             term("p", "1/2") + term("p", "1,2")
 
     @pytest.mark.parametrize("basis", ["m", "e", "h", "x"])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_round_trips_through_p(self, basis, n):
         for pi in enumerate_partitions(n):
             start = basis_term(basis, pi)

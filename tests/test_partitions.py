@@ -8,8 +8,6 @@ from ncsym.partitions import (
     IntegerPartition,
     Permutation,
     SetPartition,
-    apply_permutation,
-    atomic_decomposition,
     coarser_partitions,
     enumerate_partitions,
     finer_partitions,
@@ -19,8 +17,6 @@ from ncsym.partitions import (
     multiplicity_factorial,
     parse_partition,
     parts_factorial,
-    shape,
-    slash,
 )
 
 BELL = bell_numbers(8)
@@ -131,9 +127,9 @@ class TestRefinement:
 
 class TestSlashAndAtoms:
     def test_slash_shifts_second_factor(self):
-        assert slash(part("1,3,4/2,5"), part("1/2,3")) == part("1,3,4/2,5/6/7,8")
-        assert slash(SetPartition.empty(), part("1,2")) == part("1,2")
-        assert slash(part("1"), SetPartition.empty()) == part("1")
+        assert part("1,3,4/2,5").slash(part("1/2,3")) == part("1,3,4/2,5/6/7,8")
+        assert SetPartition.empty().slash(part("1,2")) == part("1,2")
+        assert part("1").slash(SetPartition.empty()) == part("1")
 
     def test_atomic_flags(self):
         assert part("1,3,4/2,5").is_atomic
@@ -142,14 +138,14 @@ class TestSlashAndAtoms:
         assert not SetPartition.empty().is_atomic
 
     def test_decomposition_example(self):
-        atoms = atomic_decomposition(part("1,3,4/2,5/6/7,8"))
+        atoms = part("1,3,4/2,5/6/7,8").atomic_decomposition()
         assert [a.to_text() for a in atoms] == ["1,3,4/2,5", "1", "1,2"]
 
     def test_decomposition_multiplies_back(self):
         for n in range(7):
             for pi in enumerate_partitions(n):
                 rebuilt = SetPartition.empty()
-                for atom in atomic_decomposition(pi):
+                for atom in pi.atomic_decomposition():
                     assert atom.is_atomic
                     rebuilt = rebuilt.slash(atom)
                 assert rebuilt == pi
@@ -161,7 +157,7 @@ class TestSlashAndAtoms:
 
 class TestShape:
     def test_shape_sorts_descending(self):
-        assert shape(part("1,3,4/2,5/6/7,8")).parts == (3, 2, 2, 1)
+        assert part("1,3,4/2,5/6/7,8").shape().parts == (3, 2, 2, 1)
 
     def test_factorials(self):
         lam = IntegerPartition((3, 2, 2, 1))
@@ -217,12 +213,12 @@ class TestPermutations:
 
     def test_apply_to_partition(self):
         delta = Permutation((2, 1, 3))
-        assert apply_permutation(delta, part("1/2,3")) == part("1,3/2")
-        assert apply_permutation(delta, part("1,2/3")) == part("1,2/3")
+        assert part("1/2,3").permuted(delta) == part("1,3/2")
+        assert part("1,2/3").permuted(delta) == part("1,2/3")
 
     def test_apply_needs_matching_size(self):
         with pytest.raises(DomainError):
-            apply_permutation(Permutation((1, 2)), part("1,2,3"))
+            part("1,2,3").permuted(Permutation((1, 2)))
 
 
 @st.composite
@@ -244,16 +240,16 @@ def test_text_round_trip(pi):
 
 @given(set_partitions(max_n=5), set_partitions(max_n=5))
 def test_slash_shape_concatenates(a, b):
-    joined = slash(a, b)
+    joined = a.slash(b)
     assert joined.n == a.n + b.n
-    assert sorted(shape(joined).parts, reverse=True) == \
-        sorted(shape(a).parts + shape(b).parts, reverse=True)
+    assert sorted(joined.shape().parts, reverse=True) == \
+        sorted(a.shape().parts + b.shape().parts, reverse=True)
 
 
 @settings(max_examples=60)
 @given(set_partitions(max_n=4), set_partitions(max_n=4), set_partitions(max_n=4))
 def test_slash_is_associative(a, b, c):
-    assert slash(slash(a, b), c) == slash(a, slash(b, c))
+    assert a.slash(b).slash(c) == a.slash(b.slash(c))
 
 
 @settings(max_examples=80)

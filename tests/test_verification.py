@@ -70,15 +70,6 @@ def test_agreement_sampled_runs_are_seed_stable():
     assert a.total == 50
 
 
-def test_worker_count_does_not_change_the_report():
-    serial = run_suite("roundtrip", 4)
-    threaded = run_suite("roundtrip", 4, workers=4)
-    assert serial.to_json_dict() == threaded.to_json_dict()
-    relabel_serial = run_suite("relabeling", 4, seed=9)
-    relabel_threaded = run_suite("relabeling", 4, seed=9, workers=3)
-    assert relabel_serial.to_json_dict() == relabel_threaded.to_json_dict()
-
-
 def test_result_json_shape():
     data = run_suite("xsign-scan", 2).to_json_dict()
     assert data["suite"] == "xsign-scan"
