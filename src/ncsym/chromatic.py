@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 from typing import Callable, Iterable, Optional
 
 from .elements import (
     NCSymElement,
     SymElement,
     basis_term,
-    coefficient,
     convert,
     scale,
 )
@@ -42,6 +42,7 @@ from .graphs import (
     induced_subgraph,
     is_clique_union,
     is_tree,
+    path_edge_closure,
 )
 from .partitions import (
     Permutation,
@@ -385,8 +386,7 @@ def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
     if n > max_ground_set():
         raise ResourceLimitError(
             f"tree expansion limited to n <= {max_ground_set()} (NCSYM_MAX_N)")
-    from .graphs import path_edge_closure
-
+    closure = path_edge_closure(tree)
     required = frozenset(tree.edges)
     leaves = {v for v in range(1, n + 1) if tree.degree(v) == 1}
     sign = Fraction(-1 if (n - 1) % 2 else 1)
@@ -394,7 +394,7 @@ def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
     for sigma in iter_partitions(n):
         if any(len(block) == 1 and block[0] in leaves for block in sigma.blocks):
             continue
-        if path_edge_closure(tree, sigma) == required:
+        if closure(sigma) == required:
             terms[sigma] = sign
     return NCSymElement._raw("x", n, terms)
 
@@ -431,9 +431,10 @@ class EPositivityReport:
     occur); 'zero' is reserved for the zero element and unreachable for
     graphs.  negative_witness, present whenever some component is not
     complete, pairs a witness partition with its negative coefficient: the
-    witness splits one non-complete component into two blocks with no edges
-    between them and keeps every other component whole.  top_coefficient is
-    the coefficient of e at the components partition, always positive.
+    witness splits the first non-complete component into {u, v} and the
+    rest, for its first non-adjacent pair u < v, and keeps every other
+    component whole.  top_coefficient is the coefficient of e at the
+    components partition, always positive.
     """
 
     verdict: str
@@ -458,57 +459,34 @@ class EPositivityReport:
 
 def _component_top_coefficient(sub: LabeledGraph) -> Fraction:
     """Leading e coefficient of a connected graph: |top p coefficient|/(k-1)!."""
-    k = sub.n
-    value = chromatic_symmetric_function(sub)
-    lead = value._terms.get(SetPartition.single_block(k), Fraction(0)) if k else Fraction(1)
-    return Fraction(abs(lead), factorial(k - 1)) if k else Fraction(1)
+    lead = chromatic_symmetric_function(sub)._terms[SetPartition.single_block(sub.n)]
+    return Fraction(abs(lead), factorial(sub.n - 1))
 
 
 def classify_e_positivity(graph: LabeledGraph) -> EPositivityReport:
     """Classify the e-basis sign pattern of a graph's chromatic function.
 
     The verdict rests on the clique-union criterion applied per component.
-    For a non-clique-union graph the negative witness coefficient is computed
-    two ways, by the closed formula (the witness cuts one component into two
-    edgeless-across parts, so only the leading term survives) and by full
-    conversion on that component; both must agree exactly.
+    The witness coefficient is the closed form -top.  On a connected graph
+    with k vertices and top coefficient t, [e_{B1/B2}] = -t + (-1)^k
+    [p_{B1/B2}] / ((|B1|-1)! (|B2|-1)!), and [p_{B1/B2}] = 0 when
+    B1 = {u, v} is not an edge; e coefficients multiply over components.  The verify suite
+    epos-scan checks the verdict and the witness against the e expansion.
     """
     comp = components_partition(graph)
+    subgraphs = [induced_subgraph(graph, block) for block in comp.blocks]
+    top = prod(map(_component_top_coefficient, subgraphs), start=Fraction(1))
     cliqueish = is_clique_union(graph)
-    comp_tops: list[Fraction] = []
-    subgraphs: list[LabeledGraph] = []
-    for block in comp.blocks:
-        sub = induced_subgraph(graph, block)
-        subgraphs.append(sub)
-        comp_tops.append(_component_top_coefficient(sub))
-    top = Fraction(1)
-    for value in comp_tops:
-        top *= value
     witness = None
     if not cliqueish:
         index = next(i for i, sub in enumerate(subgraphs) if not is_clique_union(sub))
-        sub = subgraphs[index]
-        block = comp.blocks[index]
-        k = sub.n
-        pair = next((u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)
+        sub, block = subgraphs[index], comp.blocks[index]
+        pair = next((u, v) for u, v in combinations(range(1, sub.n + 1), 2)
                     if not sub.has_edge(u, v))
-        rest = tuple(x for x in range(1, k + 1) if x not in pair)
-        local = SetPartition(k, [pair, rest])
-        predicted = -comp_tops[index]
-        converted = coefficient(chromatic_symmetric_function(sub), "e", local)
-        if converted != predicted:
-            raise InvariantViolation(
-                f"witness coefficient mismatch on component {block}: "
-                f"formula {predicted}, conversion {converted}")
         embedded_blocks = [tuple(block[x - 1] for x in pair),
-                           tuple(block[x - 1] for x in rest)]
+                           tuple(x for i, x in enumerate(block, 1) if i not in pair)]
         embedded_blocks.extend(b for i, b in enumerate(comp.blocks) if i != index)
-        global_pi = SetPartition(graph.n, embedded_blocks)
-        global_coeff = predicted
-        for i, value in enumerate(comp_tops):
-            if i != index:
-                global_coeff *= value
-        witness = (global_pi, global_coeff)
+        witness = (SetPartition(graph.n, embedded_blocks), -top)
     verdict = "e_positive" if cliqueish else "mixed"
     return EPositivityReport(verdict, cliqueish, witness, top)
 
@@ -516,29 +494,24 @@ def classify_e_positivity(graph: LabeledGraph) -> EPositivityReport:
 @dataclass(frozen=True)
 class XSignReport:
     """Sign pattern of the x expansion: with k components, the chromatic
-    function times (-1)^(n-k) has nonnegative coordinates everywhere."""
+    function times (-1)^(n-k) has nonnegative coordinates everywhere, so
+    the JSON key z_is_x_positive is always true."""
 
     n: int
     component_count: int
     sign: int
-    z_is_x_positive: bool
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "component_count": self.component_count,
             "sign": self.sign,
-            "z_is_x_positive": self.z_is_x_positive,
+            "z_is_x_positive": True,
         }
 
 
 def x_sign_report(graph: LabeledGraph) -> XSignReport:
-    """Verify the global sign pattern of the x expansion and report it."""
-    value = convert(chromatic_symmetric_function(graph), "x")
+    """Report the global sign (-1)^(n-k) of the x expansion, k the number of
+    components; the verify suite xsign-scan checks every x coefficient."""
     k = len(components_partition(graph).blocks)
-    sign = -1 if (graph.n - k) % 2 else 1
-    positive = all(sign * coeff >= 0 for coeff in value._terms.values())
-    if not positive:
-        raise InvariantViolation(
-            f"x-sign pattern violated on {graph!r}")
-    return XSignReport(graph.n, k, sign, positive)
+    return XSignReport(graph.n, k, -1 if (graph.n - k) % 2 else 1)

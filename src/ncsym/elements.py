@@ -23,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 

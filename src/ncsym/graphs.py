@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLimitError
 from .partitions import Permutation, SetPartition, iter_partitions, max_ground_set
@@ -303,42 +303,35 @@ def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
     return ContractionLattice(graph, tuple(order), mobius0)
 
 
-def path_edge_closure(tree: LabeledGraph, sigma: SetPartition) -> frozenset:
-    """Union over blocks of sigma of the tree-path edges joining block members."""
+def path_edge_closure(tree: LabeledGraph) -> Callable[[SetPartition], frozenset]:
+    """The map sending a partition of a tree's vertices to the union over its
+    blocks of the tree-path edges joining block members.
+
+    Rooted at 1, the edge above v joins two members of a block exactly when
+    the subtree below v holds some but not all of the block.  Parents and
+    subtree masks are built once per tree.
+    """
     if not is_tree(tree):
         raise DomainError("path closure is defined for trees only")
-    if sigma.n != tree.n:
-        raise DomainError("partition must live on the tree's vertex set")
     parent = [0] * (tree.n + 1)
-    depth = [0] * (tree.n + 1)
-    orderv = [1]
-    seen = {1}
-    for v in orderv:
+    below = [1 << v for v in range(tree.n + 1)]
+    order = [1]
+    for v in order:
         for u in tree.neighbors(v):
-            if u not in seen:
-                seen.add(u)
+            if u != parent[v]:
                 parent[u] = v
-                depth[u] = depth[v] + 1
-                orderv.append(u)
+                order.append(u)
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
 
-    def path_edges(u: int, v: int) -> Iterator[tuple[int, int]]:
-        while depth[u] > depth[v]:
-            yield (min(u, parent[u]), max(u, parent[u]))
-            u = parent[u]
-        while depth[v] > depth[u]:
-            yield (min(v, parent[v]), max(v, parent[v]))
-            v = parent[v]
-        while u != v:
-            yield (min(u, parent[u]), max(u, parent[u]))
-            yield (min(v, parent[v]), max(v, parent[v]))
-            u = parent[u]
-            v = parent[v]
+    def closure(sigma: SetPartition) -> frozenset:
+        if sigma.n != tree.n:
+            raise DomainError("partition must live on the tree's vertex set")
+        masks = [sum(1 << x for x in block) for block in sigma.blocks]
+        return frozenset((min(v, parent[v]), max(v, parent[v])) for v in order[1:]
+                         if any(m & below[v] not in (0, m) for m in masks))
 
-    closure = set()
-    for block in sigma.blocks:
-        for u, v in combinations(block, 2):
-            closure.update(path_edges(u, v))
-    return frozenset(closure)
+    return closure
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,19 @@ class TestClassify:
         assert "e_positive" in out
         assert "= 1 with n=3, k=3" in out
 
+    def test_twelve_vertex_path_answers_from_closed_forms(self, tmp_path):
+        path = tmp_path / "p12"
+        path.write_text("n 12\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 12)))
+        code, out, _ = run_cli("classify", "--graph", str(path))
+        assert code == 0
+        assert out == (
+            "verdict: mixed\n"
+            "clique union: False\n"
+            "top e coefficient: 1/39916800\n"
+            "negative witness: [1,3/2,4,5,6,7,8,9,10,11,12] = -1/39916800\n"
+            "x sign: (-1)^(n-k) = -1 with n=12, k=1; "
+            "signed expansion x-positive: True\n")
+
 
 class TestVerify:
     def test_passing_suite(self, schema):

@@ -1,5 +1,8 @@
 import pytest
 
+import ncsym.verification
+from ncsym.chromatic import chromatic_symmetric_function
+from ncsym.elements import scale
 from ncsym.errors import DomainError
 from ncsym.verification import SUITES, needs_seed, run_suite
 
@@ -78,3 +81,12 @@ def test_result_json_shape():
     assert data["failed"] == 0
     assert data["failures"] == []
     assert data["total"] == data["passed"] == 2
+
+
+def test_xsign_scan_fails_on_a_wrong_sign(monkeypatch):
+    # the suite itself must check every x coefficient against the reported sign
+    monkeypatch.setattr(ncsym.verification, "chromatic_symmetric_function",
+                        lambda g: scale(chromatic_symmetric_function(g), -1))
+    result = run_suite("xsign-scan", 3)
+    assert result.total == 8
+    assert result.passed == 0 and not result.ok
