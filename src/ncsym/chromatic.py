@@ -1,6 +1,10 @@
 """Chromatic symmetric functions in noncommuting variables.
 
-Four independent computation routes are provided and must agree:
+The default route ``auto`` is the exponential formula over connected vertex
+subsets: Y_G = sum over set partitions pi of prod_B c(B) p_pi, where c(S) is
+the bond-lattice Moebius value of the induced subgraph on S, tabulated for
+every vertex subset in O(3^n) time.  Four independent routes serve as its
+oracles and must agree with it:
 
 * ``subset``     signed sum over edge subsets, indexed by the partition into
                  connected components of each spanning subgraph;
@@ -164,6 +168,80 @@ def classical_csf(graph: LabeledGraph,
 
 
 # ---------------------------------------------------------------------------
+# auto: the exponential formula over connected vertex subsets
+
+
+def _check_kernel_limit(n: int) -> None:
+    limit = max_ground_set()
+    if n > limit:
+        raise ResourceLimitError(
+            f"connected-subset kernel limited to n <= {limit} (NCSYM_MAX_N), got {n}")
+
+
+def connected_mobius(graph: LabeledGraph) -> list[int]:
+    """The table c over vertex bitmasks (bit x for vertex x): c[S] is the
+    Moebius value mu(0, 1) of the bond lattice of the induced subgraph on S,
+    nonzero exactly when S is nonempty and connected.
+
+    Splitting the edge subsets of G[S] by the component T of min S gives
+    [S independent] = sum over min S in T <= S, S minus T independent, of
+    c[T], which is solved for c[S] over masks in increasing order; O(3^n).
+    """
+    n = graph.n
+    _check_kernel_limit(n)
+    adj = graph._adj
+    size = 1 << (n + 1)
+    indep = bytearray(size)
+    indep[0] = 1
+    c = [0] * size
+    for s in range(2, size, 2):
+        low = s & -s
+        rest = s ^ low
+        indep[s] = indep[rest] and not adj[low.bit_length() - 1] & rest
+        total = indep[s]
+        sub = rest
+        while sub:
+            if indep[sub]:
+                total -= c[s ^ sub]
+            sub = (sub - 1) & rest
+        c[s] = total
+    return c
+
+
+def csf_from_connected_subsets(graph: LabeledGraph) -> NCSymElement:
+    """Y_G = sum over set partitions pi of prod_B c[B] p_pi, with c from
+    connected_mobius: mu(0, pi) in the bond lattice factors over the blocks
+    of pi.  Blocks are placed by their least vertex, so come out canonical."""
+    n = graph.n
+    c = connected_mobius(graph)
+    blocks = {s: tuple(x for x in range(1, n + 1) if s >> x & 1)
+              for s, value in enumerate(c) if value}
+    terms: dict[SetPartition, Fraction] = {}
+    chosen: list[tuple[int, ...]] = []
+
+    def place(remaining: int, coeff: int) -> None:
+        if not remaining:
+            terms[SetPartition._raw(n, tuple(chosen))] = Fraction(coeff)
+            return
+        low = remaining & -remaining
+        rest = remaining ^ low
+        sub = rest
+        while True:
+            block = sub | low
+            value = c[block]
+            if value:
+                chosen.append(blocks[block])
+                place(remaining ^ block, coeff * value)
+                chosen.pop()
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+
+    place((1 << (n + 1)) - 2, 1)
+    return NCSymElement._raw("p", n, terms)
+
+
+# ---------------------------------------------------------------------------
 # route 2: contraction lattice
 
 
@@ -299,12 +377,14 @@ def chromatic_symmetric_function(graph: LabeledGraph,
                                  method: str = "auto") -> NCSymElement:
     """Compute the chromatic symmetric function of a labeled graph.
 
-    method 'auto' picks edge subsets for small edge counts, the contraction
-    lattice while exhaustive enumeration is allowed, and deletion-contraction
-    beyond that; results for 'auto' are cached per graph.  The 'definition'
-    route returns an m-basis element, all others return p-basis.
+    method 'auto' runs the connected-subset kernel, refusing graphs with more
+    than NCSYM_MAX_N vertices, and caches its results per graph.  The oracle
+    routes 'subset', 'mobius', 'delcon' and 'definition' compute the same
+    function independently; 'definition' returns an m-basis element, all
+    others return p-basis.
     """
     if method == "auto":
+        _check_kernel_limit(graph.n)  # before the cache, so the cap always applies
         return _auto_route(graph)
     if method == "subset":
         return csf_from_edge_subsets(graph)
@@ -317,13 +397,7 @@ def chromatic_symmetric_function(graph: LabeledGraph,
     raise DomainError(f"unknown method {method!r}")
 
 
-@cache
-def _auto_route(graph: LabeledGraph) -> NCSymElement:
-    if len(graph.edges) <= 18:
-        return csf_from_edge_subsets(graph)
-    if graph.n <= max_ground_set():
-        return csf_from_contraction_lattice(graph)
-    return csf_by_deletion_contraction(graph)
+_auto_route = cache(csf_from_connected_subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +532,9 @@ class EPositivityReport:
 
 
 def _component_top_coefficient(sub: LabeledGraph) -> Fraction:
-    """Leading e coefficient of a connected graph: |top p coefficient|/(k-1)!."""
-    lead = chromatic_symmetric_function(sub)._terms[SetPartition.single_block(sub.n)]
+    """Leading e coefficient of a connected graph on k vertices: |c(V)|/(k-1)!,
+    since the top p coefficient is the connected Moebius value c(V)."""
+    lead = connected_mobius(sub)[(1 << (sub.n + 1)) - 2]
     return Fraction(abs(lead), factorial(sub.n - 1))
 
 

@@ -19,6 +19,7 @@ from .chromatic import (
     classify_e_positivity,
     csf_by_deletion_contraction,
     csf_from_colorings,
+    csf_from_connected_subsets,
     csf_from_contraction_lattice,
     csf_from_edge_subsets,
     k_deletion_sum,
@@ -112,6 +113,7 @@ def _agreement_checks(n: int, seed: Optional[int]) -> list[Check]:
     def check(graph: LabeledGraph) -> Optional[dict]:
         reference = csf_from_edge_subsets(graph)
         for label, other in (
+                ("connected subsets", csf_from_connected_subsets(graph)),
                 ("contraction lattice", csf_from_contraction_lattice(graph)),
                 ("deletion-contraction", csf_by_deletion_contraction(graph)),
                 ("coloring definition", convert(csf_from_colorings(graph), "p"))):

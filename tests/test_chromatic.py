@@ -8,8 +8,10 @@ from ncsym.chromatic import (
     chromatic_symmetric_function,
     classical_csf,
     classify_e_positivity,
+    connected_mobius,
     csf_by_deletion_contraction,
     csf_from_colorings,
+    csf_from_connected_subsets,
     csf_from_contraction_lattice,
     csf_from_edge_subsets,
     k_deletion_sum,
@@ -36,6 +38,7 @@ from ncsym.graphs import (
     find_cycles,
     induced_subgraph,
     is_clique_union,
+    random_graph,
     slash_union,
 )
 from ncsym.partitions import (
@@ -148,6 +151,62 @@ class TestDefinitionRoute:
                                                 graph(4, (1, 2), (2, 3), (3, 4))]:
             assert word_expansion(csf_from_colorings(g), g.n) == \
                 coloring_words(g, g.n)
+
+
+def full_mask(g):
+    return (1 << (g.n + 1)) - 2
+
+
+class TestConnectedSubsetKernel:
+    def test_same_terms_as_edge_subsets(self):
+        for n in range(5):
+            for g in all_labeled_graphs(n):
+                assert csf_from_connected_subsets(g)._terms == \
+                    csf_from_edge_subsets(g)._terms
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_agrees_with_deletion_contraction_on_random_graphs(self, n):
+        g = random_graph(n, 0.5, seed=n)
+        assert csf_from_connected_subsets(g) == csf_by_deletion_contraction(g)
+
+    def test_agrees_with_deletion_contraction_on_k9(self):
+        k9 = complete_graph_union(SetPartition.single_block(9))
+        value = csf_from_connected_subsets(k9)
+        assert len(value.terms) == 21147  # the Bell number B_9
+        assert value == csf_by_deletion_contraction(k9)
+
+    def test_empty_graph(self):
+        assert csf_from_connected_subsets(graph(0)) == \
+            basis_term("p", SetPartition.empty())
+
+    def test_edgeless(self):
+        for n in (1, 3, 5):
+            assert csf_from_connected_subsets(graph(n)) == \
+                basis_term("p", SetPartition.singletons(n))
+
+    def test_disconnected_is_the_slash_product(self):
+        g = slash_union(P3, K2)
+        expected = multiply(csf_from_connected_subsets(P3),
+                            csf_from_connected_subsets(K2))
+        assert csf_from_connected_subsets(g) == expected
+
+    def test_top_value_on_complete_graphs(self):
+        for n in range(1, 9):
+            k = complete_graph_union(SetPartition.single_block(n))
+            assert connected_mobius(k)[full_mask(k)] == \
+                (-1) ** (n - 1) * factorial(n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_top_value_on_trees(self, n):
+        for tree in all_labeled_trees(n):
+            assert connected_mobius(tree)[full_mask(tree)] == (-1) ** (n - 1)
+
+    def test_zero_exactly_off_connected_subsets(self):
+        g = slash_union(P3, K3)
+        c = connected_mobius(g)
+        assert c[full_mask(g)] == 0
+        for mask in range(2, full_mask(g) + 1, 2):
+            assert (c[mask] != 0) == g.is_connected_subset(mask)
 
 
 class TestMethodDispatch:
@@ -423,6 +482,19 @@ class TestLimits:
         monkeypatch.setenv("NCSYM_MAX_N", "3")
         with pytest.raises(ResourceLimitError):
             csf_from_colorings(graph(4))
+
+    def test_auto_respects_env_even_when_cached(self, monkeypatch):
+        chromatic_symmetric_function(graph(4))
+        monkeypatch.setenv("NCSYM_MAX_N", "3")
+        with pytest.raises(ResourceLimitError) as err:
+            chromatic_symmetric_function(graph(4))
+        assert "NCSYM_MAX_N" in str(err.value)
+        with pytest.raises(ResourceLimitError):
+            connected_mobius(graph(4))
+        # the oracle routes have limits of their own
+        path = graph(4, (1, 2), (2, 3), (3, 4))
+        assert chromatic_symmetric_function(path, method="subset") == \
+            chromatic_symmetric_function(path, method="delcon")
 
     def test_tree_expansion_respects_env(self, monkeypatch):
         monkeypatch.setenv("NCSYM_MAX_N", "3")

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -196,6 +197,48 @@ class TestClassify:
             "negative witness: [1,3/2,4,5,6,7,8,9,10,11,12] = -1/39916800\n"
             "x sign: (-1)^(n-k) = -1 with n=12, k=1; "
             "signed expansion x-positive: True\n")
+
+
+    def test_nine_clique_reads_the_top_coefficient_directly(self, tmp_path):
+        path = tmp_path / "k9"
+        path.write_text("n 9\n" + "".join(
+            f"e {u} {v}\n" for u in range(1, 10) for v in range(u + 1, 10)))
+        start = time.perf_counter()
+        code, out, _ = run_cli("classify", "--graph", str(path))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert out == (
+            "verdict: e_positive\n"
+            "clique union: True\n"
+            "top e coefficient: 1\n"
+            "x sign: (-1)^(n-k) = 1 with n=9, k=1; "
+            "signed expansion x-positive: True\n")
+        code, out, _ = run_cli("classify", "--graph", str(path), "--json")
+        top = json.loads(out)["e_positivity"]["top_coefficient"]
+        assert top == {"num": 1, "den": 1}
+
+
+class TestSizeCap:
+    def test_long_path_is_refused_promptly(self, tmp_path):
+        path = tmp_path / "p40"
+        path.write_text("n 40\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 40)))
+        start = time.perf_counter()
+        code, out, err = run_cli("expand", "--graph", str(path), "--basis", "p")
+        assert time.perf_counter() - start < 5
+        assert code == 3 and out == ""
+        assert "NCSYM_MAX_N" in err
+
+    def test_explicit_oracle_routes_run_beyond_the_cap(self, tmp_path, monkeypatch):
+        path = tmp_path / "p4"
+        path.write_text("n 4\ne 1 2\ne 2 3\ne 3 4\n")
+        _, expected, _ = run_cli("expand", "--graph", str(path), "--basis", "p")
+        monkeypatch.setenv("NCSYM_MAX_N", "3")
+        code, _, err = run_cli("expand", "--graph", str(path), "--basis", "p")
+        assert code == 3 and "NCSYM_MAX_N" in err
+        for method in ("subset", "delcon"):
+            code, out, _ = run_cli("expand", "--graph", str(path), "--basis", "p",
+                                   "--method", method)
+            assert code == 0 and out == expected
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import pytest
 
 import ncsym.verification
 from ncsym.chromatic import chromatic_symmetric_function
+from ncsym.cli import main
 from ncsym.elements import scale
 from ncsym.errors import DomainError
 from ncsym.verification import SUITES, needs_seed, run_suite
@@ -90,3 +91,13 @@ def test_xsign_scan_fails_on_a_wrong_sign(monkeypatch):
     result = run_suite("xsign-scan", 3)
     assert result.total == 8
     assert result.passed == 0 and not result.ok
+
+
+def test_agreement_fails_on_a_wrong_kernel(monkeypatch, capsys):
+    monkeypatch.setattr(ncsym.verification, "csf_from_connected_subsets",
+                        lambda g: scale(chromatic_symmetric_function(g), -1))
+    result = run_suite("agreement", 3)
+    assert result.total == 8
+    assert result.passed == 0 and not result.ok
+    assert main(["verify", "--suite", "agreement", "--n", "3"]) == 1
+    assert "[connected subsets]" in capsys.readouterr().out
