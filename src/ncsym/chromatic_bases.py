@@ -17,7 +17,7 @@ from typing import Callable
 from .chromatic import chromatic_symmetric_function
 from .elements import NCSymElement, convert
 from .errors import DomainError, InvariantViolation
-from .graphs import LabeledGraph, components_partition, slash_union
+from .graphs import LabeledGraph, complete_graph_union, components_partition, slash_union
 from .partitions import SetPartition, enumerate_partitions, iter_partitions
 
 
@@ -38,16 +38,8 @@ def _path_rule(alpha: SetPartition) -> LabeledGraph:
     return LabeledGraph(alpha.n, edges)
 
 
-def _clique_rule(alpha: SetPartition) -> LabeledGraph:
-    edges = []
-    for block in alpha.blocks:
-        edges.extend((block[i], block[j])
-                     for i in range(len(block)) for j in range(i + 1, len(block)))
-    return LabeledGraph(alpha.n, edges)
-
-
 PATH_PER_BLOCK = AtomicGeneratorStrategy("path_per_block", _path_rule)
-CLIQUE_PER_BLOCK = AtomicGeneratorStrategy("clique_per_block", _clique_rule)
+CLIQUE_PER_BLOCK = AtomicGeneratorStrategy("clique_per_block", complete_graph_union)
 
 _BUILTIN = {s.name: s for s in (PATH_PER_BLOCK, CLIQUE_PER_BLOCK)}
 

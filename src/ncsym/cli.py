@@ -3,7 +3,8 @@
 Commands: expand, convert, classify, verify, basis, info.  Every command has
 a human-readable text mode and a --json mode; '-' as a file argument reads
 standard input.  Exit codes: 0 success, 1 verification failures, 2 parse or
-domain errors, 3 resource limits.
+domain errors, 3 resource limits (a configured cap or budget, or running out
+of memory or stack).
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    data = json.loads(_read_input(args.expr))
+    try:
+        data = json.loads(_read_input(args.expr))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"invalid JSON input: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("expression file must hold a JSON object")
     f = element_from_json_dict(data)
@@ -120,26 +124,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_basis(args: argparse.Namespace) -> int:
     strategy = builtin_strategy(_STRATEGY_FLAG[args.strategy])
     basis = build_basis(args.n, strategy)
-    payload = transition_matrix_json(basis)
-    payload["generators"] = [
-        {"partition": pi.to_text(), "graph": format_graph(basis.graphs[i])}
-        for i, pi in enumerate(basis.order)]
-
-    def render(data: dict) -> None:
-        print(f"chromatic basis n={data['n']} strategy={data['strategy']}")
-        for entry in data["generators"]:
-            graph_line = entry["graph"].replace("\n", "; ").strip("; ")
-            print(f"  {entry['partition']}: {graph_line}")
-        print("transition rows (basis element -> p coordinates):")
-        for label, row in zip(data["order"], data["matrix"]):
-            cells = []
-            for header, cell in zip(data["order"], row):
-                value = Fraction(cell["num"], cell["den"])
-                if value:
-                    cells.append(f"{header}:{value}")
-            print(f"  {label}: " + (" ".join(cells) if cells else "0"))
-
-    _emit(payload, args.json, render)
+    if args.json:
+        # the schema asks for the dense matrix, so only --json builds it
+        payload = transition_matrix_json(basis)
+        payload["generators"] = [
+            {"partition": pi.to_text(), "graph": format_graph(graph)}
+            for pi, graph in zip(basis.order, basis.graphs)]
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
+    print(f"chromatic basis n={basis.n} strategy={strategy.name}")
+    for pi, graph in zip(basis.order, basis.graphs):
+        print(f"  {pi}: " + format_graph(graph).replace("\n", "; ").strip("; "))
+    print("transition rows (basis element -> p coordinates):")
+    for pi, element in zip(basis.order, basis.elements):
+        cells = " ".join(f"{sigma}:{coeff}" for sigma, coeff in element.sorted_terms())
+        print(f"  {pi}: {cells}")
     return 0
 
 
@@ -225,21 +224,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except GraphParseError as exc:
+    except (GraphParseError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError, RecursionError) as exc:
+        # a MemoryError usually carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry_point() -> None:

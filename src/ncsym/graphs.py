@@ -10,8 +10,8 @@ import random
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
-from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLimitError
-from .partitions import Permutation, SetPartition, iter_partitions, max_ground_set
+from .errors import DomainError, GraphParseError, InvariantViolation
+from .partitions import Permutation, SetPartition, check_ground_set, iter_partitions
 
 
 class LabeledGraph:
@@ -190,35 +190,6 @@ def induced_subgraph(graph: LabeledGraph, vertices: Iterable[int]) -> LabeledGra
     return LabeledGraph(len(ordered), edges)
 
 
-def edge_subset_partition(graph: LabeledGraph, subset: Iterable[tuple[int, int]]) -> SetPartition:
-    """Vertex partition into connected components of the spanning subgraph
-    with exactly the listed edges."""
-    chosen = []
-    for edge in subset:
-        u, v = edge
-        key = (u, v) if u < v else (v, u)
-        if key not in graph.edges:
-            raise DomainError(f"edge {tuple(edge)} not present in the graph")
-        chosen.append(key)
-    parent = list(range(graph.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in chosen:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for v in range(1, graph.n + 1):
-        groups.setdefault(find(v), []).append(v)
-    return SetPartition._raw(graph.n, tuple(tuple(g) for g in
-                                            sorted(groups.values(), key=lambda b: b[0])))
-
-
 def is_tree(graph: LabeledGraph) -> bool:
     return (graph.n >= 1 and len(graph.edges) == graph.n - 1
             and len(graph.component_masks()) == 1)
@@ -269,10 +240,7 @@ class ContractionLattice:
 def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
     """Enumerate the connected partitions and compute bottom-up Moebius values
     by the defining recursion over the enumerated poset."""
-    limit = max_ground_set()
-    if graph.n > limit:
-        raise ResourceLimitError(
-            f"contraction lattice limited to n <= {limit} (NCSYM_MAX_N), got {graph.n}")
+    check_ground_set(graph.n, "contraction lattice")
     if graph.n == 0:
         empty = SetPartition.empty()
         return ContractionLattice(graph, (empty,), {empty: 1})
@@ -340,9 +308,9 @@ def path_edge_closure(tree: LabeledGraph) -> Callable[[SetPartition], frozenset]
 
 def all_labeled_graphs(n: int) -> Iterator[LabeledGraph]:
     """Every graph on [n], enumerated by edge-set bitmask in sorted edge order."""
-    limit = max_ground_set()
-    if n < 0 or n > limit:
-        raise DomainError(f"graph corpus needs 0 <= n <= {limit}, got {n}")
+    if n < 0:
+        raise DomainError(f"graph corpus needs n >= 0, got {n}")
+    check_ground_set(n, "graph corpus")
     pairs = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
         yield LabeledGraph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
@@ -350,9 +318,9 @@ def all_labeled_graphs(n: int) -> Iterator[LabeledGraph]:
 
 def all_labeled_trees(n: int) -> Iterator[LabeledGraph]:
     """Every labeled tree on [n], enumerated by lexicographic Pruefer sequence."""
-    limit = max_ground_set()
-    if n < 1 or n > limit:
-        raise DomainError(f"tree corpus needs 1 <= n <= {limit}, got {n}")
+    if n < 1:
+        raise DomainError(f"tree corpus needs n >= 1, got {n}")
+    check_ground_set(n, "tree corpus")
     if n == 1:
         yield LabeledGraph(1)
         return
@@ -384,9 +352,9 @@ def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> LabeledGraph:
 
 def random_graph(n: int, edge_probability: float, seed: int) -> LabeledGraph:
     """Independent coin flip per possible edge, driven by the explicit seed."""
-    limit = max_ground_set()
-    if n < 0 or n > limit:
-        raise DomainError(f"random graph needs 0 <= n <= {limit}, got {n}")
+    if n < 0:
+        raise DomainError(f"random graph needs n >= 0, got {n}")
+    check_ground_set(n, "random graph")
     if not 0 <= edge_probability <= 1:
         raise DomainError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)

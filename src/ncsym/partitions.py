@@ -17,7 +17,7 @@ from itertools import product
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 DEFAULT_MAX_GROUND_SET = 12
 
@@ -34,6 +34,14 @@ def max_ground_set() -> int:
     if value < 1:
         raise DomainError("NCSYM_MAX_N must be at least 1")
     return value
+
+
+def check_ground_set(n: int, what: str) -> None:
+    """Refuse a ground set larger than NCSYM_MAX_N.  Every enumeration whose
+    size grows like B_n or 2^n calls this before it allocates anything."""
+    limit = max_ground_set()
+    if n > limit:
+        raise ResourceLimitError(f"{what} limited to n <= {limit} (NCSYM_MAX_N), got {n}")
 
 
 def _iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
@@ -79,8 +87,9 @@ class SetPartition:
                     raise DomainError(f"element {x} appears in two blocks")
                 seen.add(x)
         if len(seen) != n:
-            missing = sorted(set(range(1, n + 1)) - seen)
-            raise DomainError(f"blocks do not cover the ground set; missing {missing}")
+            missing = next(x for x in range(1, n + 1) if x not in seen)
+            raise DomainError(
+                f"blocks do not cover the ground set; smallest missing element {missing}")
         self._install(n, tuple(cleaned))
 
     def _install(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
@@ -267,9 +276,9 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
 
 def iter_partitions(n: int) -> Iterator[SetPartition]:
     """Generator variant of enumerate_partitions with the same order."""
-    limit = max_ground_set()
-    if n < 0 or n > limit:
-        raise DomainError(f"partition enumeration needs 0 <= n <= {limit}, got {n}")
+    if n < 0:
+        raise DomainError(f"partition enumeration needs n >= 0, got {n}")
+    check_ground_set(n, "partition enumeration")
     return (SetPartition.from_rgs(r) for r in _iter_rgs(n))
 
 

@@ -222,11 +222,6 @@ class TestMethodDispatch:
         with pytest.raises(DomainError):
             chromatic_symmetric_function(K2, method="fastest")
 
-    def test_auto_is_cached(self):
-        a = chromatic_symmetric_function(P3)
-        b = chromatic_symmetric_function(graph(3, (1, 2), (2, 3)))
-        assert a is b
-
 
 class TestClassical:
     def test_k2(self):

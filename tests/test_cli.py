@@ -1,13 +1,22 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import ncsym
+from ncsym.chromatic import clear_caches
 from ncsym.cli import main
+from ncsym.verification import SUITES
 
 
 def run_cli(*argv, stdin_text=None):
@@ -26,6 +35,19 @@ def run_cli(*argv, stdin_text=None):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli_limited(*argv, memory_mb=1024):
+    """Invoke the CLI in a child process whose address space is capped, so a
+    request that would exhaust memory cannot take the test process with it."""
+    limit = memory_mb << 20
+    src = str(Path(ncsym.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "ncsym.cli", *argv], capture_output=True, text=True,
+        env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +123,13 @@ class TestExpand:
         assert code == 2
         assert "line 2" in err
 
+    def test_undecodable_input_exits_2(self, tmp_path):
+        path = tmp_path / "bin"
+        path.write_bytes(b"n 2\n\xff\xfe\n")
+        code, out, err = run_cli("info", "--graph", str(path))
+        assert code == 2 and out == ""
+        assert "can't decode byte 0xff" in err
+
     def test_resource_limit_exits_3(self, tmp_path):
         lines = ["n 9"]
         lines += [f"e {u} {v}" for u in range(1, 10) for v in range(u + 1, 10)]
@@ -138,6 +167,30 @@ class TestConvert:
         code, _, err = run_cli("convert", "--expr", str(path),
                                "--from", "p", "--to", "x")
         assert code == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"basis": "p", "degree": 1, "terms": 5},
+        {"basis": "p", "degree": 1,
+         "terms": [{"partition": 5, "num": 1, "den": 1}]},
+    ], ids=["terms-not-a-list", "partition-not-a-string"])
+    def test_malformed_element_exits_2(self, tmp_path, payload):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli("convert", "--expr", str(path),
+                                 "--from", "p", "--to", "m")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_huge_degree_is_refused_without_listing_it(self, tmp_path):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"basis": "p", "degree": 100000000, "terms": [
+            {"partition": "1/100000000", "num": 1, "den": 1}]}))
+        start = time.perf_counter()
+        proc = run_cli_limited("convert", "--expr", str(path), "--from", "p", "--to", "m")
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: blocks do not cover the ground set; "
+                               "smallest missing element 2\n")
 
     def test_round_trip_through_files(self, p3_file, tmp_path, schema):
         code, out, _ = run_cli("expand", "--graph", p3_file, "--basis", "x",
@@ -240,6 +293,40 @@ class TestSizeCap:
                                    "--method", method)
             assert code == 0 and out == expected
 
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_every_suite_refuses_above_the_cap(self, suite, monkeypatch):
+        monkeypatch.setenv("NCSYM_MAX_N", "3")
+        code, out, err = run_cli("verify", "--suite", suite, "--n", "4", "--seed", "1")
+        assert code == 3 and out == ""
+        assert "NCSYM_MAX_N" in err
+
+    def test_roundtrip_above_the_default_cap_exits_3(self):
+        code, _, err = run_cli("verify", "--suite", "roundtrip", "--n", "13")
+        assert code == 3
+        assert err == ("error: partition enumeration limited to n <= 12 "
+                       "(NCSYM_MAX_N), got 13\n")
+
+
+class TestOutOfResources:
+    def test_deep_recursion_exits_3(self, tmp_path):
+        path = tmp_path / "k45"
+        path.write_text("n 45\n" + "".join(
+            f"e {u} {v}\n" for u in range(1, 46) for v in range(u + 1, 46)))
+        try:
+            code, out, err = run_cli("expand", "--graph", str(path), "--basis", "p",
+                                     "--method", "delcon")
+        finally:
+            clear_caches()
+        assert code == 3 and out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
+
+    def test_out_of_memory_exits_3(self, tmp_path):
+        path = tmp_path / "huge"
+        path.write_text("n 300000000\n")
+        proc = run_cli_limited("info", "--graph", str(path))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: MemoryError\n"
+
 
 class TestVerify:
     def test_passing_suite(self, schema):
@@ -282,6 +369,40 @@ class TestBasis:
         code, out, _ = run_cli("basis", "--n", "2", "--strategy", "path")
         assert code == 0
         assert "1,2" in out and "1/2" in out
+
+    def test_clique_n3_text(self):
+        code, out, _ = run_cli("basis", "--n", "3", "--strategy", "clique")
+        assert code == 0
+        assert out == (
+            "chromatic basis n=3 strategy=clique_per_block\n"
+            "  1,2,3: n 3; e 1 2; e 1 3; e 2 3\n"
+            "  1,2/3: n 3; e 1 2\n"
+            "  1,3/2: n 3; e 1 3\n"
+            "  1/2,3: n 3; e 2 3\n"
+            "  1/2/3: n 3\n"
+            "transition rows (basis element -> p coordinates):\n"
+            "  1,2,3: 1,2,3:2 1,2/3:-1 1,3/2:-1 1/2,3:-1 1/2/3:1\n"
+            "  1,2/3: 1,2/3:-1 1/2/3:1\n"
+            "  1,3/2: 1,3/2:-1 1/2/3:1\n"
+            "  1/2,3: 1/2,3:-1 1/2/3:1\n"
+            "  1/2/3: 1/2/3:1\n")
+
+    @pytest.mark.parametrize("strategy", ["path", "clique"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_text_rows_are_the_nonzero_cells_of_the_json_matrix(self, n, strategy):
+        _, text, _ = run_cli("basis", "--n", str(n), "--strategy", strategy)
+        _, out, _ = run_cli("basis", "--n", str(n), "--strategy", strategy, "--json")
+        data = json.loads(out)
+        lines = [f"chromatic basis n={n} strategy={data['strategy']}"]
+        for entry in data["generators"]:
+            graph_line = entry["graph"].replace("\n", "; ").strip("; ")
+            lines.append(f"  {entry['partition']}: {graph_line}")
+        lines.append("transition rows (basis element -> p coordinates):")
+        for label, row in zip(data["order"], data["matrix"]):
+            cells = [f"{header}:{Fraction(cell['num'], cell['den'])}"
+                     for header, cell in zip(data["order"], row) if cell["num"]]
+            lines.append(f"  {label}: " + " ".join(cells))
+        assert text == "\n".join(lines) + "\n"
 
     def test_bad_n_exits_2(self):
         code, _, err = run_cli("basis", "--n", "99", "--strategy", "path")

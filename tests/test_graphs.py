@@ -13,7 +13,6 @@ from ncsym.graphs import (
     contract_last_edge,
     contraction_lattice,
     delete_edges,
-    edge_subset_partition,
     find_cycles,
     format_graph,
     induced_subgraph,
@@ -114,12 +113,6 @@ class TestSurgery:
         sub = induced_subgraph(g, [1, 3, 5])
         assert sub.n == 3
         assert sub.edges == ((1, 2), (2, 3))
-
-    def test_edge_subset_partition(self):
-        g = graph(4, (1, 2), (2, 3), (3, 4))
-        assert edge_subset_partition(g, [(1, 2), (3, 4)]) == \
-            parse_partition("1,2/3,4")
-        assert edge_subset_partition(g, []) == SetPartition.singletons(4)
 
 
 class TestContractionLattice:
