@@ -13,6 +13,12 @@ oracles and must agree with it:
 * ``definition`` monomial expansion over proper-coloring patterns, i.e. the
                  partitions all of whose blocks are independent sets.
 
+The kernel, ``definition`` and ``mobius`` all enumerate partitions through
+``partitions.weighted_partitions``, each with its own per-block table:
+connected Moebius values, independent sets, connected sets.  ``subset`` and
+``delcon`` enumerate no partitions, so a fault in that one enumerator still
+shows up as a disagreement.
+
 On top of these sit the classification reports (elementary-basis positivity,
 the global sign pattern in the x basis), the k-cycle deletion identity, the
 tree expansion in the x basis, and the matching identity tying single x
@@ -41,6 +47,7 @@ from typing import Callable, Iterable, Optional
 from .elements import (
     NCSymElement,
     SymElement,
+    _accumulate,
     basis_term,
     convert,
     scale,
@@ -58,7 +65,7 @@ from .graphs import (
     is_tree,
     path_edge_closure,
 )
-from .partitions import Permutation, SetPartition, check_ground_set, iter_partitions
+from .partitions import Permutation, SetPartition, check_ground_set, weighted_partitions
 
 DEFAULT_SUBSET_EDGE_LIMIT = 22
 DEFAULT_DELCON_BUDGET = 1 << 21
@@ -208,34 +215,11 @@ def connected_mobius(graph: LabeledGraph) -> list[int]:
 def csf_from_connected_subsets(graph: LabeledGraph) -> NCSymElement:
     """Y_G = sum over set partitions pi of prod_B c[B] p_pi, with c from
     connected_mobius: mu(0, pi) in the bond lattice factors over the blocks
-    of pi.  Blocks are placed by their least vertex, so come out canonical."""
-    n = graph.n
-    c = connected_mobius(graph)
-    blocks = {s: tuple(x for x in range(1, n + 1) if s >> x & 1)
-              for s, value in enumerate(c) if value}
-    terms: dict[SetPartition, Fraction] = {}
-    chosen: list[tuple[int, ...]] = []
-
-    def place(remaining: int, coeff: int) -> None:
-        if not remaining:
-            terms[SetPartition._raw(n, tuple(chosen))] = Fraction(coeff)
-            return
-        low = remaining & -remaining
-        rest = remaining ^ low
-        sub = rest
-        while True:
-            block = sub | low
-            value = c[block]
-            if value:
-                chosen.append(blocks[block])
-                place(remaining ^ block, coeff * value)
-                chosen.pop()
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-
-    place((1 << (n + 1)) - 2, 1)
-    return NCSymElement._raw("p", n, terms)
+    of pi."""
+    terms = weighted_partitions(graph.n, connected_mobius(graph))
+    for pi, value in terms.items():
+        terms[pi] = Fraction(value)
+    return NCSymElement._raw("p", graph.n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +290,7 @@ def _delcon(graph: LabeledGraph, remaining: list[int]) -> dict:
             con_terms = _delcon(contract_last_edge(moved), remaining)
             combined = dict(del_terms)
             for pi, coeff in con_terms.items():
-                key2 = pi.adjoin_top()
-                total = combined.get(key2, Fraction(0)) - coeff
-                if total:
-                    combined[key2] = total
-                else:
-                    combined.pop(key2, None)
+                _accumulate(combined, pi.adjoin_top(), -coeff)
             inverse = delta.inverse()
             result = {pi.permuted(inverse): coeff for pi, coeff in combined.items()}
     return _delcon_memo.setdefault(key, result)
@@ -345,22 +324,15 @@ def _delcon_split(graph: LabeledGraph, comp: SetPartition,
 def csf_from_colorings(graph: LabeledGraph) -> NCSymElement:
     """Monomial expansion: one m term per partition of the vertices into
     independent sets (the equality patterns of proper colorings)."""
-    check_ground_set(graph.n, "coloring expansion")
-    if graph.n == 0:
-        return NCSymElement._raw("m", 0, {SetPartition.empty(): Fraction(1)})
-    terms = {}
-    for pi in iter_partitions(graph.n):
-        independent = True
-        for block in pi.blocks:
-            mask = 0
-            for x in block:
-                mask |= 1 << x
-            if any(graph._adj[x] & mask for x in block):
-                independent = False
-                break
-        if independent:
-            terms[pi] = Fraction(1)
-    return NCSymElement._raw("m", graph.n, terms)
+    n = graph.n
+    check_ground_set(n, "coloring expansion")
+    adj = graph._adj
+    independent = [not any(s >> x & 1 and adj[x] & s for x in range(1, n + 1))
+                   for s in range(1 << (n + 1))]
+    terms = weighted_partitions(n, independent)
+    for pi in terms:
+        terms[pi] = Fraction(1)
+    return NCSymElement._raw("m", n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +401,7 @@ def k_deletion_sum(graph: LabeledGraph,
         sign = -1 if len(subset) % 2 else 1
         value = chromatic_symmetric_function(delete_edges(graph, subset))
         for pi, coeff in value._terms.items():
-            total = totals.get(pi, Fraction(0)) + sign * coeff
-            if total:
-                totals[pi] = total
-            else:
-                totals.pop(pi, None)
+            _accumulate(totals, pi, sign * coeff)
     return NCSymElement._raw("p", graph.n, totals)
 
 
@@ -449,14 +417,13 @@ def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
     check_ground_set(n, "tree expansion")
     closure = path_edge_closure(tree)
     required = frozenset(tree.edges)
-    leaves = {v for v in range(1, n + 1) if tree.degree(v) == 1}
+    allowed = [1] * (1 << (n + 1))
+    for v in range(1, n + 1):
+        if tree.degree(v) == 1:
+            allowed[1 << v] = 0
     sign = Fraction(-1 if (n - 1) % 2 else 1)
-    terms = {}
-    for sigma in iter_partitions(n):
-        if any(len(block) == 1 and block[0] in leaves for block in sigma.blocks):
-            continue
-        if closure(sigma) == required:
-            terms[sigma] = sign
+    terms = {sigma: sign for sigma in weighted_partitions(n, allowed)
+             if closure(sigma) == required}
     return NCSymElement._raw("x", n, terms)
 
 

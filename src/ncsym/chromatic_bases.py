@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .chromatic import chromatic_symmetric_function
-from .elements import NCSymElement, convert
+from .elements import NCSymElement, _accumulate, convert
 from .errors import DomainError, InvariantViolation
 from .graphs import LabeledGraph, complete_graph_union, components_partition, slash_union
 from .partitions import SetPartition, enumerate_partitions, iter_partitions
@@ -181,19 +181,15 @@ def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fracti
     residue = dict(convert(f, "p")._terms)
     coords: dict[SetPartition, Fraction] = {}
     # coarsest first: fewest blocks, ties broken by canonical encoding
-    for pi in sorted(basis.order, key=lambda q: (len(q.blocks), q.rgs)):
+    for pi, element in sorted(zip(basis.order, basis.elements),
+                              key=lambda item: (len(item[0].blocks), item[0].rgs)):
         value = residue.get(pi)
         if not value:
             continue
-        element = basis.element_at(pi)
         coeff = value / element._terms[pi]
         coords[pi] = coeff
         for sigma, c in element._terms.items():
-            total = residue.get(sigma, Fraction(0)) - coeff * c
-            if total:
-                residue[sigma] = total
-            else:
-                residue.pop(sigma, None)
+            _accumulate(residue, sigma, -coeff * c)
     if residue:
         raise InvariantViolation("back-substitution left a nonzero residue")
     return coords
@@ -202,15 +198,13 @@ def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fracti
 def combine(basis: ChromaticBasis,
             coords: dict[SetPartition, Fraction]) -> NCSymElement:
     """Inverse of express: assemble the linear combination sum c_pi Y_{G_pi}."""
-    total = NCSymElement.zero("p", basis.n)
+    total: dict[SetPartition, Fraction] = {}
     for pi, coeff in coords.items():
         if not coeff:
             continue
-        element = basis.element_at(pi)
-        piece = NCSymElement._raw(
-            "p", basis.n, {s: coeff * c for s, c in element._terms.items()})
-        total = total + piece
-    return total
+        for sigma, c in basis.element_at(pi)._terms.items():
+            _accumulate(total, sigma, coeff * c)
+    return NCSymElement._raw("p", basis.n, total)
 
 
 def transition_matrix(basis: ChromaticBasis) -> list[list[Fraction]]:

@@ -3,8 +3,8 @@
 Commands: expand, convert, classify, verify, basis, info.  Every command has
 a human-readable text mode and a --json mode; '-' as a file argument reads
 standard input.  Exit codes: 0 success, 1 verification failures, 2 parse or
-domain errors, 3 resource limits (a configured cap or budget, or running out
-of memory or stack).
+domain errors, 3 resource limits (a configured cap or budget, a size too
+large to index, or running out of memory or stack).
 """
 
 from __future__ import annotations
@@ -227,8 +227,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GraphParseError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, MemoryError, RecursionError) as exc:
-        # a MemoryError usually carries no message
+    except (ResourceLimitError, MemoryError, OverflowError, RecursionError) as exc:
+        # a MemoryError usually carries no message; an OverflowError means a
+        # size too large to index, refused before anything is allocated
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 

@@ -575,7 +575,8 @@ def element_from_json_dict(data: Mapping) -> NCSymElement:
         raise DomainError(f"element JSON needs basis/degree/terms: {exc}") from exc
     if basis not in BASES:
         raise DomainError(f"unknown basis {basis!r}")
-    if not isinstance(degree, int) or degree < 0:
+    # type(...) is int, since JSON true and false decode to bool, an int subclass
+    if type(degree) is not int or degree < 0:
         raise DomainError("degree must be a nonnegative integer")
     if not isinstance(raw_terms, list):
         raise DomainError("element JSON terms must be a list")
@@ -590,7 +591,7 @@ def element_from_json_dict(data: Mapping) -> NCSymElement:
         if not isinstance(text, str):
             raise DomainError(f"term partition must be a string in {entry!r}")
         pi = parse_partition(text)
-        if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+        if type(num) is not int or type(den) is not int or den == 0:
             raise DomainError(f"bad rational in term {entry!r}")
         if pi.n != degree:
             raise DomainError(

@@ -11,7 +11,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, GraphParseError, InvariantViolation
-from .partitions import Permutation, SetPartition, check_ground_set, iter_partitions
+from .partitions import Permutation, SetPartition, check_ground_set, weighted_partitions
 
 
 class LabeledGraph:
@@ -240,24 +240,12 @@ class ContractionLattice:
 def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
     """Enumerate the connected partitions and compute bottom-up Moebius values
     by the defining recursion over the enumerated poset."""
-    check_ground_set(graph.n, "contraction lattice")
-    if graph.n == 0:
-        empty = SetPartition.empty()
-        return ContractionLattice(graph, (empty,), {empty: 1})
-    elements = []
-    for pi in iter_partitions(graph.n):
-        ok = True
-        for block in pi.blocks:
-            mask = 0
-            for x in block:
-                mask |= 1 << x
-            if not graph.is_connected_subset(mask):
-                ok = False
-                break
-        if ok:
-            elements.append(pi)
+    n = graph.n
+    check_ground_set(n, "contraction lattice")
+    connected = [graph.is_connected_subset(s) for s in range(1 << (n + 1))]
     # finer partitions first: any strict refinement has strictly more blocks
-    order = sorted(elements, key=lambda p: (-len(p.blocks), p.rgs))
+    order = sorted(weighted_partitions(n, connected),
+                   key=lambda p: (-len(p.blocks), p.rgs))
     mobius0: dict[SetPartition, int] = {order[0]: 1}
     for i, pi in enumerate(order[1:], start=1):
         nblocks = len(pi.blocks)
@@ -406,7 +394,8 @@ def find_cycles(graph: LabeledGraph, max_length: int) -> list[tuple[tuple[int, .
 
 def parse_graph(text: str) -> LabeledGraph:
     """Parse the line format: '#' comments, one 'n <N>' header, then
-    'e <u> <v>' lines with 1 <= u < v <= N.  Errors carry line numbers."""
+    'e <u> <v>' lines with 1 <= u < v <= N.  Errors carry line numbers; a
+    vertex count too large to index raises OverflowError instead."""
     n = None
     edges = []
     seen = set()

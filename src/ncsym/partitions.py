@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from itertools import product
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
 
@@ -280,6 +280,43 @@ def iter_partitions(n: int) -> Iterator[SetPartition]:
         raise DomainError(f"partition enumeration needs n >= 0, got {n}")
     check_ground_set(n, "partition enumeration")
     return (SetPartition.from_rgs(r) for r in _iter_rgs(n))
+
+
+def weighted_partitions(n: int, weight: Sequence[int]) -> dict[SetPartition, int]:
+    """Every partition of [n] all of whose blocks have nonzero weight, mapped
+    to the product of its block weights.
+
+    weight is indexed by block bitmask, bit x for element x, so it has
+    2^(n+1) entries of which only the even masks are read.  Each block is
+    chosen as a submask holding the least unplaced element, so blocks come out
+    canonical and each partition is reached once; the keys are in no
+    particular order.
+    """
+    blocks = {s: tuple(x for x in range(1, n + 1) if s >> x & 1)
+              for s in range(2, 1 << (n + 1), 2) if weight[s]}
+    out: dict[SetPartition, int] = {}
+    chosen: list[tuple[int, ...]] = []
+
+    def place(remaining: int, coeff: int) -> None:
+        if not remaining:
+            out[SetPartition._raw(n, tuple(chosen))] = coeff
+            return
+        low = remaining & -remaining
+        rest = remaining ^ low
+        sub = rest
+        while True:
+            block = sub | low
+            value = weight[block]
+            if value:
+                chosen.append(blocks[block])
+                place(remaining ^ block, coeff * value)
+                chosen.pop()
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+
+    place((1 << (n + 1)) - 2, 1)
+    return out
 
 
 def partitions_of_labels(labels: Iterable[int]) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -146,6 +146,11 @@ class TestDefinitionRoute:
                          + term("m", "1/2,3"))
         assert value == convert(term("e", "1,3/2"), "m")
 
+    def test_empty_graph(self):
+        value = csf_from_colorings(graph(0))
+        assert value.basis == "m"
+        assert dict(value.terms) == {SetPartition.empty(): Fraction(1)}
+
     def test_words_match_proper_coloring_scan(self):
         for g in list(all_labeled_graphs(3)) + [graph(4, (1, 2), (3, 4)),
                                                 graph(4, (1, 2), (2, 3), (3, 4))]:

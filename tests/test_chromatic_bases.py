@@ -177,6 +177,11 @@ class TestExpress:
         with pytest.raises(DomainError):
             express(basis_term("p", parse_partition("1,2")), basis)
 
+    def test_combine_rejects_a_coordinate_outside_the_basis(self):
+        basis = build_basis(3, PATH_PER_BLOCK)
+        with pytest.raises(DomainError):
+            combine(basis, {parse_partition("1,2"): Fraction(1)})
+
 
 class TestJsonExport:
     def test_shape_and_orientation(self):

@@ -181,6 +181,21 @@ class TestConvert:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["degree", "num", "den"])
+    def test_json_boolean_is_not_an_integer(self, tmp_path, field):
+        if field == "degree":
+            # false == 0, so an element with no terms would otherwise pass
+            payload = {"basis": "p", "degree": False, "terms": []}
+        else:
+            payload = {"basis": "p", "degree": 1,
+                       "terms": [{"partition": "1", "num": 1, "den": 1, field: True}]}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli("convert", "--expr", str(path),
+                                 "--from", "p", "--to", "m", "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_huge_degree_is_refused_without_listing_it(self, tmp_path):
         path = tmp_path / "expr.json"
         path.write_text(json.dumps({"basis": "p", "degree": 100000000, "terms": [
@@ -319,6 +334,14 @@ class TestOutOfResources:
             clear_caches()
         assert code == 3 and out == ""
         assert err.startswith("error: maximum recursion depth exceeded")
+
+    def test_vertex_count_too_large_to_index_exits_3(self):
+        # past 2^63 the allocation is refused before it starts, so this runs
+        # safely in-process
+        code, out, err = run_cli("info", "--graph", "-",
+                                 stdin_text="n 100000000000000000000\n")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_out_of_memory_exits_3(self, tmp_path):
         path = tmp_path / "huge"

@@ -133,6 +133,11 @@ class TestContractionLattice:
         lattice = contraction_lattice(graph(3))
         assert lattice.elements == (SetPartition.singletons(3),)
 
+    def test_empty_graph(self):
+        lattice = contraction_lattice(graph(0))
+        assert lattice.elements == (SetPartition.empty(),)
+        assert lattice.mobius0 == {SetPartition.empty(): 1}
+
     def test_membership_and_lookup(self):
         lattice = contraction_lattice(graph(3, (1, 2)))
         assert parse_partition("1,2/3") in lattice

@@ -1,9 +1,12 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bell_numbers, mobius_by_recursion
 from ncsym.errors import DomainError
+from ncsym.graphs import random_graph
 from ncsym.partitions import (
     IntegerPartition,
     Permutation,
@@ -17,6 +20,7 @@ from ncsym.partitions import (
     multiplicity_factorial,
     parse_partition,
     parts_factorial,
+    weighted_partitions,
 )
 
 BELL = bell_numbers(8)
@@ -96,6 +100,43 @@ class TestEnumeration:
         monkeypatch.setenv("NCSYM_MAX_N", "zero")
         with pytest.raises(DomainError):
             max_ground_set()
+
+
+class TestWeightedPartitions:
+    @pytest.mark.parametrize("n", range(7))
+    def test_unit_weights_give_every_partition(self, n):
+        found = weighted_partitions(n, [1] * (1 << (n + 1)))
+        assert set(found) == set(enumerate_partitions(n))
+        assert set(found.values()) == {1}
+        for pi in found:
+            assert pi.blocks == SetPartition(n, pi.blocks).blocks
+
+    def test_leaf_condition_drops_singletons(self):
+        weight = [1] * 16
+        weight[1 << 3] = 0
+        found = weighted_partitions(3, weight)
+        assert sorted(pi.to_text() for pi in found) == ["1,2,3", "1,3/2", "1/2,3"]
+
+
+def block_mask(block):
+    return sum(1 << x for x in block)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=99),
+       st.data())
+def test_weighted_partitions_multiply_block_weights(n, seed, data):
+    g = random_graph(n, 0.5, seed)
+    weight = [0] * (1 << (n + 1))
+    for s in range(2, 1 << (n + 1), 2):
+        if g.is_connected_subset(s):
+            weight[s] = data.draw(st.integers(min_value=-3, max_value=3))
+    expected = {}
+    for pi in enumerate_partitions(n):
+        value = prod(weight[block_mask(b)] for b in pi.blocks)
+        if value:
+            expected[pi] = value
+    assert weighted_partitions(n, weight) == expected
 
 
 class TestRefinement:
