@@ -65,7 +65,14 @@ from .graphs import (
     is_tree,
     path_edge_closure,
 )
-from .partitions import Permutation, SetPartition, check_ground_set, weighted_partitions
+from .partitions import (
+    Permutation,
+    SetPartition,
+    bell_number,
+    check_ground_set,
+    weighted_partition_sums,
+    weighted_partitions,
+)
 
 DEFAULT_SUBSET_EDGE_LIMIT = 22
 DEFAULT_DELCON_BUDGET = 1 << 21
@@ -220,6 +227,24 @@ def csf_from_connected_subsets(graph: LabeledGraph) -> NCSymElement:
     for pi, value in terms.items():
         terms[pi] = Fraction(value)
     return NCSymElement._raw("p", graph.n, terms)
+
+
+def conversion_pairs(graph: LabeledGraph, basis: str) -> int:
+    """The partition pairs that convert(Y_G, basis) visits out of p, counted
+    from connected_mobius without building Y_G: its p support is the
+    partitions into connected blocks.  Into e, h or x each support partition
+    pi costs prod_B B_|B|, into m B_k(pi); the latter sum is recounted by the
+    coarsening sigma, each block C of sigma paying the number of connected
+    partitions of C."""
+    if basis == "p":
+        return 0
+    connected = [1 if value else 0 for value in connected_mobius(graph)]
+    full = (1 << (graph.n + 1)) - 2
+    if basis == "m":
+        return weighted_partition_sums(graph.n, weighted_partition_sums(graph.n, connected))[full]
+    weight = [bell_number(mask.bit_count()) if flag else 0
+              for mask, flag in enumerate(connected)]
+    return weighted_partition_sums(graph.n, weight)[full]
 
 
 # ---------------------------------------------------------------------------

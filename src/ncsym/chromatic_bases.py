@@ -12,13 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .chromatic import chromatic_symmetric_function
 from .elements import NCSymElement, _accumulate, convert
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .graphs import LabeledGraph, complete_graph_union, components_partition, slash_union
-from .partitions import SetPartition, enumerate_partitions, iter_partitions
+from .partitions import (
+    SetPartition,
+    bell_number,
+    check_ground_set,
+    enumerate_partitions,
+    iter_partitions,
+)
+
+MAX_MATRIX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -124,10 +133,14 @@ class ChromaticBasis:
     graphs: tuple[LabeledGraph, ...]
     elements: tuple[NCSymElement, ...]
 
+    @cached_property
+    def _index(self) -> dict[SetPartition, int]:
+        return {pi: i for i, pi in enumerate(self.order)}
+
     def index_of(self, pi: SetPartition) -> int:
         try:
-            return self.order.index(pi)
-        except ValueError:
+            return self._index[pi]
+        except KeyError:
             raise DomainError(
                 f"{pi.to_text()} is not a degree-{self.n} partition") from None
 
@@ -207,15 +220,25 @@ def combine(basis: ChromaticBasis,
     return NCSymElement._raw("p", basis.n, total)
 
 
+def check_matrix_size(n: int) -> None:
+    """Refuse, before the basis is built, a dense degree-n transition matrix
+    of B_n^2 cells when that exceeds MAX_MATRIX_CELLS."""
+    check_ground_set(n, "partition enumeration")
+    cells = bell_number(n) ** 2 if n >= 0 else 0
+    if cells > MAX_MATRIX_CELLS:
+        raise ResourceLimitError(
+            f"dense degree-{n} transition matrix has {cells} cells, "
+            f"over the cap of {MAX_MATRIX_CELLS}")
+
+
 def transition_matrix(basis: ChromaticBasis) -> list[list[Fraction]]:
     """Rows follow canonical order; row i holds the p coordinates of basis
     element i, columns in the same canonical order."""
-    index = {pi: j for j, pi in enumerate(basis.order)}
     matrix = []
     for element in basis.elements:
         row = [Fraction(0)] * len(basis.order)
         for sigma, coeff in element._terms.items():
-            row[index[sigma]] = coeff
+            row[basis.index_of(sigma)] = coeff
         matrix.append(row)
     return matrix
 

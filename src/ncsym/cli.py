@@ -4,7 +4,8 @@ Commands: expand, convert, classify, verify, basis, info.  Every command has
 a human-readable text mode and a --json mode; '-' as a file argument reads
 standard input.  Exit codes: 0 success, 1 verification failures, 2 parse or
 domain errors, 3 resource limits (a configured cap or budget, a size too
-large to index, or running out of memory or stack).
+large to index, or running out of memory or stack).  A failed internal
+invariant is a bug; it exits 1 with its message, like a failed verification.
 """
 
 from __future__ import annotations
@@ -18,16 +19,23 @@ from typing import Optional
 from .chromatic import (
     chromatic_symmetric_function,
     classify_e_positivity,
+    conversion_pairs,
     x_sign_report,
 )
-from .chromatic_bases import build_basis, builtin_strategy, transition_matrix_json
+from .chromatic_bases import (
+    build_basis,
+    builtin_strategy,
+    check_matrix_size,
+    transition_matrix_json,
+)
 from .elements import (
     BASES,
+    check_conversion_pairs,
     convert,
     element_from_json_dict,
     element_to_json_dict,
 )
-from .errors import DomainError, GraphParseError, ResourceLimitError
+from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLimitError
 from .graphs import (
     components_partition,
     format_graph,
@@ -57,6 +65,10 @@ def _emit(payload: dict, as_json: bool, render) -> None:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     graph = parse_graph(_read_input(args.graph))
+    if args.method == "auto":
+        # refuse before Y_G is built; the oracle routes may run beyond
+        # NCSYM_MAX_N, where convert still refuses their results by this cap
+        check_conversion_pairs(conversion_pairs(graph, args.basis), f"p -> {args.basis}")
     value = chromatic_symmetric_function(graph, method=args.method)
     value = convert(value, args.basis)
     _emit(element_to_json_dict(value), args.json, lambda _: print(value))
@@ -123,6 +135,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     strategy = builtin_strategy(_STRATEGY_FLAG[args.strategy])
+    if args.json:
+        check_matrix_size(args.n)
     basis = build_basis(args.n, strategy)
     if args.json:
         # the schema asks for the dense matrix, so only --json builds it
@@ -232,6 +246,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # size too large to index, refused before anything is allocated
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

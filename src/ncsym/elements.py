@@ -13,33 +13,56 @@ The power-sum basis is the conversion hub: every change of basis routes
 through ``p``, multiplication concatenates indices (slash product), and the
 degree-raising operator and the symmetric group action act on ``p`` indices.
 Coefficients are exact rationals; zero coefficients are never stored.
-Every column of a change of basis against ``p`` is a closed-form sum over one
-interval of the refinement order; columns are built on first use and cached
-until ``clear_caches``.  Cached columns are shared and must not be mutated.
-The column caches are the module's only state, and they pay because the
-verify suites convert many elements over the same partitions: without them,
-``verify --suite agreement --n 5`` took 6.5 s of CPU instead of 4.0 s and
-``--suite roundtrip --n 6`` 1.5 s instead of 0.9 s (medians of five runs on
-a 2-vCPU VM).
+
+``convert`` applies the Rosas-Sagan closed forms on integer codes.  Inside it
+a block is a bitmask with bit x for element x, and a set partition of [n] is
+one int whose x-th field of n.bit_length() bits holds the least element of
+the block of x.  The code of a partition is the sum of its blocks' codes, so
+it needs no sorting, and it is O(n log n) bits wide.  Coefficients are ints:
+the element is scaled by the lcm of its denominators, a step out of p into e
+or h also by (n - 1)!, which every |mu(0, pi)| divides, and each output
+coefficient is divided once.  ``SetPartition`` and ``Fraction`` objects are
+made only for the input and the output terms.  Conversions between m and p
+sum over coarsenings, the set partitions of a partition's k blocks; those
+between x, e or h and p over refinements, one set partition of each block.
+
+Both come from the set partitions of a bitmask, which are cached across
+calls only for masks of at most ``CACHED_BLOCK_SIZE`` = 6 bits: at
+``NCSYM_MAX_N`` = 12 that is at most 2,510 masks holding
+sum_{k <= 6} C(12, k) B_k = 237,426 block tuples, plus 278 groupings of up to
+six blocks; larger blocks are enumerated per call (a single 12-element block
+has B_12 = 4.2 million refinements).  The cache keeps at most 4,096 masks,
+so elements of larger degree cannot grow it further.  ``clear_caches`` drops
+it; nothing keyed by a ``SetPartition`` is cached.  The small tables pay in
+the verify suites: without them ``verify --suite agreement --n 5`` took
+3.05 s of CPU instead of 2.77 s and ``--suite roundtrip --n 6`` 0.81 s
+instead of 0.71 s (medians of six interleaved runs on a shared 2-vCPU VM).
+
+Before each step ``convert`` counts the pairs it will visit,
+sum_pi prod_B B_|B| over the support for x, e and h and sum_pi B_k(pi) for
+m, and raises ``ResourceLimitError`` above ``MAX_CONVERSION_PAIRS`` =
+2,000,000.  Y of K_9 (1,606,137 pairs) converts into any basis in about 2 s
+at under 50 MB; K_10 (16.7 million) and K_12 (2.28 billion) are refused.
+A step makes at most one output term per pair, about 0.5 KB each: the single
+term p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at
+354 MB.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import permutations, product
+from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .partitions import (
     IntegerPartition,
     Permutation,
     SetPartition,
-    coarser_partitions,
-    finer_partitions,
-    mobius_from_bottom,
-    mobius_interval,
+    bell_number,
     multiplicity_factorial,
     parse_partition,
     parts_factorial,
@@ -48,14 +71,19 @@ from .partitions import (
 BASES = ("m", "p", "e", "h", "x")
 SYM_BASES = ("m", "p", "e", "h")
 
+MAX_CONVERSION_PAIRS = 2_000_000
+CACHED_BLOCK_SIZE = 6
+# the 2,516 small masks n <= 12 can use all fit, so the bound bites only on
+# elements of larger degree
+_CACHED_MASKS = 4096
+_EXACT_BELL = 20
+
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def clear_caches() -> None:
-    """Drop all cached conversion columns."""
-    _to_p_column.cache_clear()
-    _from_p_column.cache_clear()
+    """Drop the cached set partitions of small blocks."""
+    _small_set_partitions.cache_clear()
 
 
 def _accumulate(target: dict, key, delta: Fraction) -> None:
@@ -67,48 +95,189 @@ def _accumulate(target: dict, key, delta: Fraction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# change-of-basis columns against the power-sum basis (Rosas-Sagan closed forms)
+# change of basis against the power-sum basis, on integer codes
 
 
-@cache
-def _to_p_column(basis: str, pi: SetPartition) -> dict:
-    """Expansion of the basis element b_pi over p, as {sigma: coefficient}."""
-    if basis == "p":
-        return {pi: _ONE}
+def check_conversion_pairs(pairs: int, what: str) -> None:
+    """Refuse a change of basis that visits more than MAX_CONVERSION_PAIRS
+    pairs of partitions (a support partition and one of its refinements or
+    coarsenings)."""
+    if pairs > MAX_CONVERSION_PAIRS:
+        raise ResourceLimitError(
+            f"conversion {what} visits at least {pairs} partition pairs, "
+            f"over the cap of {MAX_CONVERSION_PAIRS}")
+
+
+def _bell(k: int) -> int:
+    # exact up to _EXACT_BELL, where it already far exceeds the pair cap; a
+    # lower bound beyond, so a huge block is refused without computing B_k
+    return bell_number(min(k, _EXACT_BELL))
+
+
+def _set_partitions(mask: int) -> tuple[tuple[int, ...], ...]:
+    """Every set partition of the set bits of mask, as tuples of submasks in
+    increasing order of least bit; cached up to CACHED_BLOCK_SIZE bits."""
+    if mask.bit_count() <= CACHED_BLOCK_SIZE:
+        return _small_set_partitions(mask)
+    return _enumerate_set_partitions(mask)
+
+
+def _enumerate_set_partitions(mask: int) -> tuple[tuple[int, ...], ...]:
+    if not mask:
+        return ((),)
+    low = mask & -mask
+    rest = mask ^ low
+    out = []
+    sub = rest
+    while True:
+        block = sub | low
+        out.extend((block,) + tail for tail in _set_partitions(mask ^ block))
+        if not sub:
+            break
+        sub = (sub - 1) & rest
+    return tuple(out)
+
+
+_small_set_partitions = lru_cache(maxsize=_CACHED_MASKS)(_enumerate_set_partitions)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key); lives for one call."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _block_elements(mask: int) -> tuple[int, ...]:
+    return tuple(x for x in range(1, mask.bit_length()) if mask >> x & 1)
+
+
+def _least(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _spread(mask: int, field: int) -> int:
+    """One in the field of every element of mask."""
+    return sum(1 << field * x for x in _block_elements(mask))
+
+
+def _block_masks(code: int, field: int, n: int) -> list[int]:
+    """The block bitmasks of a partition code, by increasing least element."""
+    ones = (1 << field) - 1
+    masks: dict[int, int] = {}
+    for x in range(1, n + 1):
+        least = code >> field * x & ones
+        masks[least] = masks.get(least, 0) | 1 << x
+    return list(masks.values())
+
+
+def _refine(support: list, field: int, weight, factor=None) -> dict[int, int]:
+    """Sum coeff * factor(masks) * prod_B weight(parts of B) over every
+    refinement of every support partition; a refinement is one set partition
+    of each block, so per block mask its choices are listed once."""
+    code_of = _Memo(lambda mask: _least(mask) * _spread(mask, field)).__getitem__
+    choices_of: dict[int, list[tuple[int, int]]] = {}
+    out: dict[int, int] = {}
+    for masks, coeff in support:
+        per_block = []
+        for mask in masks:
+            choices = choices_of.get(mask)
+            if choices is None:
+                choices = choices_of[mask] = [
+                    (sum(map(code_of, parts)), weight(parts))
+                    for parts in _set_partitions(mask)]
+            per_block.append(choices)
+        if factor is not None:
+            coeff *= factor(masks)
+        # the longest list goes innermost, so the partial products stay short
+        per_block.sort(key=len)
+        last = per_block.pop() if per_block else [(0, 1)]
+        partial = [(0, coeff)]
+        for choices in per_block:
+            partial = [(code + part, value * w)
+                       for code, value in partial for part, w in choices]
+        for code, value in partial:
+            for part, w in last:
+                key = code + part
+                out[key] = out.get(key, 0) + value * w
+    return out
+
+
+def _coarsen(support: list, field: int, mu: list[int] | None) -> dict[int, int]:
+    """Sum coeff * weight over every coarsening of every support partition:
+    a grouping of its k blocks, i.e. a set partition of range(k), weighted by
+    prod_groups mu[size] when mu is given, else by 1."""
+    groupings: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    spread_of = _Memo(lambda mask: _spread(mask, field)).__getitem__
+    out: dict[int, int] = {}
+    for masks, coeff in support:
+        k = len(masks)
+        table = groupings.get(k)
+        if table is None:
+            table = groupings[k] = [
+                (groups, prod(mu[g.bit_count()] for g in groups) if mu else 1)
+                for groups in _set_partitions((1 << k) - 1)]
+        # merged[s]: the code of the union of the blocks indexed by the bits
+        # of s, whose least element is that of its first block
+        spreads = list(map(spread_of, masks))
+        leasts = list(map(_least, masks))
+        spread = [0] * (1 << k)
+        merged = [0] * (1 << k)
+        for s in range(1, 1 << k):
+            low = s & -s
+            first = low.bit_length() - 1
+            spread[s] = spread[s ^ low] + spreads[first]
+            merged[s] = leasts[first] * spread[s]
+        for groups, w in table:
+            key = sum(map(merged.__getitem__, groups))
+            out[key] = out.get(key, 0) + coeff * w
+    return out
+
+
+def _convert_codes(terms: dict[int, int], source: str, target: str,
+                   n: int) -> dict[int, int]:
+    """One Rosas-Sagan change of basis on codes, into or out of p.
+
+    b_pi over p: m sums mu(pi, sigma) over coarsenings; x sums mu(sigma, pi),
+    e sums mu(0, sigma) and h sums |mu(0, sigma)| over refinements.  p_pi
+    over b: m and x sum 1 over coarsenings and refinements; e and h sum
+    mu(sigma, pi) / mu(0, pi) and / |mu(0, pi)| over refinements, here times
+    (n-1)!, which every |mu(0, pi)| divides.  Every Moebius value is a
+    product of mu[j] = (-1)^(j-1) (j-1)!.
+    """
+    basis = target if source == "p" else source
+    field = n.bit_length()
+    support = [(_block_masks(code, field, n), coeff) for code, coeff in terms.items() if coeff]
     if basis == "m":
-        # p_pi sums m over coarsenings; invert with interval Moebius weights
-        return {sigma: Fraction(mobius_interval(pi, sigma))
-                for sigma in coarser_partitions(pi)}
-    if basis == "x":
-        return {sigma: Fraction(mobius_interval(sigma, pi))
-                for sigma in finer_partitions(pi)}
-    if basis == "h":
-        return {sigma: Fraction(abs(mobius_from_bottom(sigma)))
-                for sigma in finer_partitions(pi)}
-    if basis == "e":
-        return {sigma: Fraction(mobius_from_bottom(sigma))
-                for sigma in finer_partitions(pi)}
-    raise DomainError(f"unknown basis {basis!r}")
-
-
-@cache
-def _from_p_column(basis: str, pi: SetPartition) -> dict:
-    """Expansion of p_pi over the given basis, as {sigma: coefficient}."""
-    if basis == "p":
-        return {pi: _ONE}
+        pairs = sum(_bell(len(masks)) for masks, _ in support)
+    else:
+        pairs = sum(prod(_bell(mask.bit_count()) for mask in masks) for masks, _ in support)
+    check_conversion_pairs(pairs, f"{source} -> {target}")
+    mu = [1, 1]
+    for j in range(1, n):
+        mu.append(-j * mu[-1])
     if basis == "m":
-        return {sigma: _ONE for sigma in coarser_partitions(pi)}
-    if basis == "x":
-        return {sigma: _ONE for sigma in finer_partitions(pi)}
-    if basis == "e":
-        bottom = mobius_from_bottom(pi)
-        return {sigma: Fraction(mobius_interval(sigma, pi), bottom)
-                for sigma in finer_partitions(pi)}
-    if basis == "h":
-        bottom = abs(mobius_from_bottom(pi))
-        return {sigma: Fraction(mobius_interval(sigma, pi), bottom)
-                for sigma in finer_partitions(pi)}
-    raise DomainError(f"unknown basis {basis!r}")
+        return _coarsen(support, field, mu if source == "m" else None)
+    if target == "x":
+        return _refine(support, field, lambda parts: 1)
+    if source == "x":
+        return _refine(support, field, lambda parts: mu[len(parts)])
+    sign = abs if "h" in (source, target) else (lambda value: value)
+
+    def bottom(blocks: Iterable[int]) -> int:
+        # mu(0, .) of the partition into these blocks, |mu(0, .)| for h
+        return sign(prod(map(mu.__getitem__, map(int.bit_count, blocks))))
+
+    if source == "p":
+        top = factorial(n - 1) if n else 1
+        return _refine(support, field, lambda parts: mu[len(parts)],
+                       lambda masks: top // bottom(masks))
+    return _refine(support, field, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +411,32 @@ def one(basis: str = "p") -> NCSymElement:
 
 
 def convert(f: NCSymElement, target: str) -> NCSymElement:
-    """Rewrite f in the target basis, exactly."""
+    """Rewrite f in the target basis, exactly, through p.
+
+    Raises ResourceLimitError before a step that would visit more than
+    MAX_CONVERSION_PAIRS partition pairs.
+    """
     if target not in BASES:
         raise DomainError(f"unknown basis {target!r}")
     if f.basis == target:
         return f
-    if f.basis == "p":
-        p_terms = f._terms
-    else:
-        p_terms = {}
-        for pi, coeff in f._terms.items():
-            for sigma, weight in _to_p_column(f.basis, pi).items():
-                _accumulate(p_terms, sigma, coeff * weight)
-    if target == "p":
-        return NCSymElement._raw("p", f.degree, p_terms)
-    out: dict[SetPartition, Fraction] = {}
-    for pi, coeff in p_terms.items():
-        for sigma, weight in _from_p_column(target, pi).items():
-            _accumulate(out, sigma, coeff * weight)
-    return NCSymElement._raw(target, f.degree, out)
+    n = f.degree
+    field = n.bit_length()
+    denominator = lcm(*(coeff.denominator for coeff in f._terms.values()))
+    terms = {sum(block[0] * sum(1 << field * x for x in block) for block in pi.blocks):
+             coeff.numerator * (denominator // coeff.denominator)
+             for pi, coeff in f._terms.items()}
+    if f.basis != "p":
+        terms = _convert_codes(terms, f.basis, "p", n)
+    if target != "p":
+        terms = _convert_codes(terms, "p", target, n)
+        if target in ("e", "h") and n:
+            denominator *= factorial(n - 1)
+    elements_of = _Memo(_block_elements).__getitem__
+    out = {SetPartition._raw(n, tuple(map(elements_of, _block_masks(code, field, n)))):
+           Fraction(total, denominator)
+           for code, total in terms.items() if total}
+    return NCSymElement._raw(target, n, out)
 
 
 def add(f: NCSymElement, g: NCSymElement) -> NCSymElement:

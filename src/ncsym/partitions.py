@@ -13,8 +13,8 @@ between threads.
 from __future__ import annotations
 
 import os
-from itertools import product
-from math import factorial
+from functools import cache
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -282,6 +282,36 @@ def iter_partitions(n: int) -> Iterator[SetPartition]:
     return (SetPartition.from_rgs(r) for r in _iter_rgs(n))
 
 
+@cache
+def bell_number(n: int) -> int:
+    """B_n, the number of set partitions of an n-element set."""
+    return sum(comb(n - 1, j) * bell_number(j) for j in range(n)) if n else 1
+
+
+def weighted_partition_sums(n: int, weight: Sequence[int]) -> list[int]:
+    """For every vertex bitmask S (bit x for element x), the sum over the
+    partitions of S of the product of their block weights, indexed like
+    weight; the values weighted_partitions would sum, without listing the
+    partitions.  O(3^n), each block chosen as a submask holding min S."""
+    size = 1 << (n + 1)
+    total = [0] * size
+    total[0] = 1
+    for s in range(2, size, 2):
+        low = s & -s
+        rest = s ^ low
+        value = 0
+        sub = rest
+        while True:
+            block_weight = weight[sub | low]
+            if block_weight:
+                value += block_weight * total[rest ^ sub]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        total[s] = value
+    return total
+
+
 def weighted_partitions(n: int, weight: Sequence[int]) -> dict[SetPartition, int]:
     """Every partition of [n] all of whose blocks have nonzero weight, mapped
     to the product of its block weights.
@@ -317,40 +347,6 @@ def weighted_partitions(n: int, weight: Sequence[int]) -> dict[SetPartition, int
 
     place((1 << (n + 1)) - 2, 1)
     return out
-
-
-def partitions_of_labels(labels: Iterable[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of an ascending label tuple, as tuples of blocks."""
-    labels = tuple(labels)
-    for rgs in _iter_rgs(len(labels)):
-        count = max(rgs) + 1 if rgs else 0
-        blocks: list[list[int]] = [[] for _ in range(count)]
-        for label, b in zip(labels, rgs):
-            blocks[b].append(label)
-        yield tuple(tuple(block) for block in blocks)
-
-
-def finer_partitions(pi: SetPartition) -> Iterator[SetPartition]:
-    """All sigma <= pi: each block of pi refined independently."""
-    per_block = [tuple(partitions_of_labels(block)) for block in pi.blocks]
-    for combo in product(*per_block):
-        blocks = [block for part in combo for block in part]
-        blocks.sort(key=lambda b: b[0])
-        yield SetPartition._raw(pi.n, tuple(blocks))
-
-
-def coarser_partitions(pi: SetPartition) -> Iterator[SetPartition]:
-    """All sigma >= pi: blocks of pi merged along a partition of the block list."""
-    for grouping in partitions_of_labels(range(len(pi.blocks))):
-        blocks = []
-        for group in grouping:
-            merged = []
-            for index in group:
-                merged.extend(pi.blocks[index])
-            merged.sort()
-            blocks.append(tuple(merged))
-        blocks.sort(key=lambda b: b[0])
-        yield SetPartition._raw(pi.n, tuple(blocks))
 
 
 def mobius_from_bottom(pi: SetPartition) -> int:

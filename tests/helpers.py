@@ -5,14 +5,24 @@ algorithms than the package uses: Bell numbers by the triangle recurrence,
 Moebius values by the recursive defining sum, word expansions by filtering
 all k^n words against the tuple conditions, Y_G by enumerating proper
 colorings, ranks by fraction Gaussian elimination, and commutative monomial
-expansions by direct polynomial arithmetic.
+expansions by direct polynomial arithmetic.  Changes of basis are composed
+from one cached column per basis term, each listed by the interval
+enumerators below, where the package converts on integer codes.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+from ncsym.elements import NCSymElement
 from ncsym.graphs import LabeledGraph
-from ncsym.partitions import SetPartition, enumerate_partitions
+from ncsym.partitions import (
+    SetPartition,
+    enumerate_partitions,
+    iter_partitions,
+    mobius_from_bottom,
+    mobius_interval,
+)
 
 
 def bell_numbers(limit: int) -> list[int]:
@@ -195,3 +205,69 @@ def sym_monomial_expansion(f, k: int) -> dict:
         for e, c in term.items():
             total[e] = total.get(e, Fraction(0)) + coeff * c
     return {e: c for e, c in total.items() if c}
+
+
+def partitions_of_labels(labels):
+    """All partitions of an ascending label tuple, as tuples of blocks."""
+    labels = tuple(labels)
+    for pi in iter_partitions(len(labels)):
+        yield tuple(tuple(labels[x - 1] for x in block) for block in pi.blocks)
+
+
+def finer_partitions(pi: SetPartition):
+    """All sigma <= pi: each block of pi refined independently."""
+    per_block = [tuple(partitions_of_labels(block)) for block in pi.blocks]
+    for combo in product(*per_block):
+        blocks = [block for part in combo for block in part]
+        blocks.sort(key=lambda b: b[0])
+        yield SetPartition(pi.n, blocks)
+
+
+def coarser_partitions(pi: SetPartition):
+    """All sigma >= pi: blocks of pi merged along a partition of the block list."""
+    for grouping in partitions_of_labels(range(len(pi.blocks))):
+        blocks = [sorted(x for index in group for x in pi.blocks[index])
+                  for group in grouping]
+        yield SetPartition(pi.n, blocks)
+
+
+@cache
+def to_p_column(basis: str, pi: SetPartition) -> dict:
+    """b_pi over p by the Rosas-Sagan interval sums, as {sigma: coefficient}."""
+    if basis == "p":
+        return {pi: Fraction(1)}
+    if basis == "m":
+        return {sigma: Fraction(mobius_interval(pi, sigma)) for sigma in coarser_partitions(pi)}
+    if basis == "x":
+        return {sigma: Fraction(mobius_interval(sigma, pi)) for sigma in finer_partitions(pi)}
+    sign = abs if basis == "h" else int
+    return {sigma: Fraction(sign(mobius_from_bottom(sigma))) for sigma in finer_partitions(pi)}
+
+
+@cache
+def from_p_column(basis: str, pi: SetPartition) -> dict:
+    """p_pi over the given basis, as {sigma: coefficient}."""
+    if basis == "p":
+        return {pi: Fraction(1)}
+    if basis == "m":
+        return {sigma: Fraction(1) for sigma in coarser_partitions(pi)}
+    if basis == "x":
+        return {sigma: Fraction(1) for sigma in finer_partitions(pi)}
+    bottom = abs(mobius_from_bottom(pi)) if basis == "h" else mobius_from_bottom(pi)
+    return {sigma: Fraction(mobius_interval(sigma, pi), bottom) for sigma in finer_partitions(pi)}
+
+
+def _apply_columns(terms: dict, column) -> dict:
+    out: dict = {}
+    for pi, coeff in terms.items():
+        for sigma, weight in column(pi).items():
+            out[sigma] = out.get(sigma, 0) + coeff * weight
+    return {sigma: c for sigma, c in out.items() if c}
+
+
+def convert_by_columns(f: NCSymElement, target: str) -> dict:
+    """The terms of f in the target basis, composed column by column through p."""
+    if f.basis == target:
+        return dict(f.terms)
+    p_terms = _apply_columns(dict(f.terms), lambda pi: to_p_column(f.basis, pi))
+    return _apply_columns(p_terms, lambda pi: from_p_column(target, pi))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,12 +8,14 @@ from helpers import rank_over_q
 from ncsym.chromatic import chromatic_symmetric_function
 from ncsym.chromatic_bases import (
     CLIQUE_PER_BLOCK,
+    MAX_MATRIX_CELLS,
     PATH_PER_BLOCK,
     AtomicGeneratorStrategy,
     atomic_partitions_upto,
     basis_graph,
     build_basis,
     builtin_strategy,
+    check_matrix_size,
     combine,
     express,
     generator_graph,
@@ -21,7 +24,7 @@ from ncsym.chromatic_bases import (
     transition_matrix_json,
 )
 from ncsym.elements import basis_term, convert, multiply, one
-from ncsym.errors import DomainError, InvariantViolation
+from ncsym.errors import DomainError, InvariantViolation, ResourceLimitError
 from ncsym.graphs import LabeledGraph, components_partition, contraction_lattice
 from ncsym.partitions import SetPartition, enumerate_partitions, parse_partition
 
@@ -181,6 +184,32 @@ class TestExpress:
         basis = build_basis(3, PATH_PER_BLOCK)
         with pytest.raises(DomainError):
             combine(basis, {parse_partition("1,2"): Fraction(1)})
+        with pytest.raises(DomainError):
+            basis.index_of(parse_partition("1,2/3/4"))
+
+    def test_combine_over_every_coordinate_at_n7(self):
+        basis = build_basis(7, PATH_PER_BLOCK)
+        assert all(basis.index_of(pi) == i for i, pi in enumerate(basis.order))
+        coords = {pi: Fraction(i % 7 - 3, i % 4 + 1) for i, pi in enumerate(basis.order)}
+        f = combine(basis, coords)
+        # recorded with the linear order.index lookup
+        assert len(f.terms) == 838
+        assert hashlib.sha256(str(f).encode()).hexdigest() == (
+            "412588ae6eaed97f57b6d915ad6c4631468b20a3b840ee18381f112c41d4bfb3")
+
+
+class TestMatrixCap:
+    def test_n7_fits_and_n8_is_refused(self):
+        check_matrix_size(7)
+        with pytest.raises(ResourceLimitError) as err:
+            check_matrix_size(8)
+        assert str(MAX_MATRIX_CELLS) in str(err.value)
+        assert "17139600" in str(err.value)
+
+    def test_negative_degree_is_left_to_build_basis(self):
+        check_matrix_size(-1)
+        with pytest.raises(DomainError):
+            build_basis(-1, PATH_PER_BLOCK)
 
 
 class TestJsonExport:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -14,8 +15,12 @@ import jsonschema
 import pytest
 
 import ncsym
+from ncsym import cli
 from ncsym.chromatic import clear_caches
+from ncsym.chromatic_bases import MAX_MATRIX_CELLS
 from ncsym.cli import main
+from ncsym.elements import MAX_CONVERSION_PAIRS
+from ncsym.errors import InvariantViolation
 from ncsym.verification import SUITES
 
 
@@ -322,6 +327,45 @@ class TestSizeCap:
                        "(NCSYM_MAX_N), got 13\n")
 
 
+class TestConversionCap:
+    @staticmethod
+    def clique(tmp_path, n):
+        path = tmp_path / f"k{n}"
+        path.write_text(f"n {n}\n" + "".join(
+            f"e {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+        return str(path)
+
+    @pytest.mark.parametrize("basis", ["e", "h", "x", "m"])
+    def test_k12_is_refused_before_y_g_is_built(self, tmp_path, basis):
+        path = self.clique(tmp_path, 12)
+        start = time.perf_counter()
+        code, out, err = run_cli("expand", "--graph", path, "--basis", basis)
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "2276423485" in err and str(MAX_CONVERSION_PAIRS) in err
+
+    # stdout digests recorded with the per-partition column conversion
+    @pytest.mark.parametrize("basis,sha", [
+        ("x", "e38a09989fc22676b75316cdea8c32d44014d66d538961fa85a831b736652507"),
+        ("e", "84ef9fa7f7d21a4d9a0df20f72ab1ca04cf4805ed06223a7d2b1ef0c4ae59ec8"),
+    ], ids=["x", "e"])
+    def test_k9_runs_under_the_cap(self, tmp_path, basis, sha):
+        path = self.clique(tmp_path, 9)
+        start = time.perf_counter()
+        code, out, _ = run_cli("expand", "--graph", path, "--basis", basis)
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    def test_convert_refuses_an_oversized_element(self, tmp_path):
+        path = tmp_path / "p12.json"
+        path.write_text(json.dumps({"basis": "p", "degree": 12, "terms": [
+            {"partition": ",".join(map(str, range(1, 13))), "num": 1, "den": 1}]}))
+        code, out, err = run_cli("convert", "--expr", str(path), "--from", "p", "--to", "h")
+        assert code == 3 and out == ""
+        assert "4213597" in err and str(MAX_CONVERSION_PAIRS) in err
+
+
 class TestOutOfResources:
     def test_deep_recursion_exits_3(self, tmp_path):
         path = tmp_path / "k45"
@@ -430,6 +474,22 @@ class TestBasis:
     def test_bad_n_exits_2(self):
         code, _, err = run_cli("basis", "--n", "99", "--strategy", "path")
         assert code in (2, 3)
+
+    def test_dense_matrix_over_the_cell_cap_is_refused_up_front(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("basis", "--n", "8", "--strategy", "path", "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert "17139600" in err and str(MAX_MATRIX_CELLS) in err
+
+    def test_invariant_violation_exits_1_without_traceback(self, monkeypatch):
+        def broken(n, strategy):
+            raise InvariantViolation("diagonal coefficient at 1,2 is 0")
+
+        monkeypatch.setattr(cli, "build_basis", broken)
+        code, out, err = run_cli("basis", "--n", "2", "--strategy", "path")
+        assert code == 1 and out == ""
+        assert err == "error: diagonal coefficient at 1,2 is 0\n"
 
 
 class TestInfo:

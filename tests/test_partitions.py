@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bell_numbers, mobius_by_recursion
+from helpers import bell_numbers, coarser_partitions, finer_partitions, mobius_by_recursion
 from ncsym.errors import DomainError
 from ncsym.graphs import random_graph
 from ncsym.partitions import (
     IntegerPartition,
     Permutation,
     SetPartition,
-    coarser_partitions,
     enumerate_partitions,
-    finer_partitions,
     max_ground_set,
     mobius_from_bottom,
     mobius_interval,
