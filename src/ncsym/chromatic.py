@@ -63,7 +63,6 @@ from .graphs import (
     induced_subgraph,
     is_clique_union,
     is_tree,
-    path_edge_closure,
 )
 from .partitions import (
     Permutation,
@@ -433,22 +432,32 @@ def k_deletion_sum(graph: LabeledGraph,
 def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
     """Signed x expansion of a tree's chromatic symmetric function.
 
-    Sums x over the partitions whose path closure uses every tree edge and
-    that leave no leaf in a singleton block, with the global sign
-    (-1)^(n-1)."""
+    Sums x_sigma, with the global sign (-1)^(n-1), over the partitions sigma
+    that leave no leaf in a singleton block and whose path closure uses every
+    tree edge.  The path between two members of a block uses an edge exactly
+    when they lie on different sides of it, so sigma is counted when every
+    edge is cut: some block has members on both of its sides.  The block of
+    a leaf cuts the leaf's edge, so only edges between inner vertices are
+    tested, each test stopping at the first cutting block.
+    """
     if not is_tree(tree):
         raise DomainError("tree expansion requires a tree")
     n = tree.n
     check_ground_set(n, "tree expansion")
-    closure = path_edge_closure(tree)
-    required = frozenset(tree.edges)
+    leaves = {v for v in range(1, n + 1) if tree.degree(v) == 1}
     allowed = [1] * (1 << (n + 1))
-    for v in range(1, n + 1):
-        if tree.degree(v) == 1:
-            allowed[1 << v] = 0
+    for v in leaves:
+        allowed[1 << v] = 0
+    # one side of each inner edge: the vertices v reaches without crossing it
+    everything = (1 << (n + 1)) - 2
+    sides = [tree._reach_mask(v, everything ^ 1 << u) for u, v in tree.edges
+             if u not in leaves and v not in leaves]
     sign = Fraction(-1 if (n - 1) % 2 else 1)
-    terms = {sigma: sign for sigma in weighted_partitions(n, allowed)
-             if closure(sigma) == required}
+    terms = {}
+    for sigma in weighted_partitions(n, allowed):
+        masks = [sum(1 << x for x in block) for block in sigma.blocks]
+        if all(any(0 != m & side != m for m in masks) for side in sides):
+            terms[sigma] = sign
     return NCSymElement._raw("x", n, terms)
 
 

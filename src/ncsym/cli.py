@@ -63,6 +63,11 @@ def _emit(payload: dict, as_json: bool, render) -> None:
         render(payload)
 
 
+def _print_element(value, as_json: bool) -> None:
+    # text mode prints the element itself and never builds the JSON payload
+    print(json.dumps(element_to_json_dict(value), indent=2, sort_keys=True) if as_json else value)
+
+
 def _cmd_expand(args: argparse.Namespace) -> int:
     graph = parse_graph(_read_input(args.graph))
     if args.method == "auto":
@@ -71,7 +76,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         check_conversion_pairs(conversion_pairs(graph, args.basis), f"p -> {args.basis}")
     value = chromatic_symmetric_function(graph, method=args.method)
     value = convert(value, args.basis)
-    _emit(element_to_json_dict(value), args.json, lambda _: print(value))
+    _print_element(value, args.json)
     return 0
 
 
@@ -87,7 +92,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         raise DomainError(
             f"expression is in basis {f.basis!r}, not {args.from_basis!r}")
     value = convert(f, args.to_basis)
-    _emit(element_to_json_dict(value), args.json, lambda _: print(value))
+    _print_element(value, args.json)
     return 0
 
 

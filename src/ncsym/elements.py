@@ -26,17 +26,9 @@ made only for the input and the output terms.  Conversions between m and p
 sum over coarsenings, the set partitions of a partition's k blocks; those
 between x, e or h and p over refinements, one set partition of each block.
 
-Both come from the set partitions of a bitmask, which are cached across
-calls only for masks of at most ``CACHED_BLOCK_SIZE`` = 6 bits: at
-``NCSYM_MAX_N`` = 12 that is at most 2,510 masks holding
-sum_{k <= 6} C(12, k) B_k = 237,426 block tuples, plus 278 groupings of up to
-six blocks; larger blocks are enumerated per call (a single 12-element block
-has B_12 = 4.2 million refinements).  The cache keeps at most 4,096 masks,
-so elements of larger degree cannot grow it further.  ``clear_caches`` drops
-it; nothing keyed by a ``SetPartition`` is cached.  The small tables pay in
-the verify suites: without them ``verify --suite agreement --n 5`` took
-3.05 s of CPU instead of 2.77 s and ``--suite roundtrip --n 6`` 0.81 s
-instead of 0.71 s (medians of six interleaved runs on a shared 2-vCPU VM).
+Both come from ``partitions.set_partitions``, which caches the set partitions
+of small masks; this module keeps no cache of its own.  A zero element
+converts to the zero element of the target at once.
 
 Before each step ``convert`` counts the pairs it will visit,
 sum_pi prod_B B_|B| over the support for x, e and h and sum_pi B_k(pi) for
@@ -51,7 +43,6 @@ term p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, lcm, prod
 from types import MappingProxyType
@@ -63,27 +54,26 @@ from .partitions import (
     Permutation,
     SetPartition,
     bell_number,
+    block_elements,
+    clear_caches as clear_partition_caches,
     multiplicity_factorial,
     parse_partition,
     parts_factorial,
+    set_partitions,
 )
 
 BASES = ("m", "p", "e", "h", "x")
 SYM_BASES = ("m", "p", "e", "h")
 
 MAX_CONVERSION_PAIRS = 2_000_000
-CACHED_BLOCK_SIZE = 6
-# the 2,516 small masks n <= 12 can use all fit, so the bound bites only on
-# elements of larger degree
-_CACHED_MASKS = 4096
 _EXACT_BELL = 20
 
 _ZERO = Fraction(0)
 
 
 def clear_caches() -> None:
-    """Drop the cached set partitions of small blocks."""
-    _small_set_partitions.cache_clear()
+    """Drop the set partitions of small masks that ``partitions`` caches."""
+    clear_partition_caches()
 
 
 def _accumulate(target: dict, key, delta: Fraction) -> None:
@@ -114,33 +104,6 @@ def _bell(k: int) -> int:
     return bell_number(min(k, _EXACT_BELL))
 
 
-def _set_partitions(mask: int) -> tuple[tuple[int, ...], ...]:
-    """Every set partition of the set bits of mask, as tuples of submasks in
-    increasing order of least bit; cached up to CACHED_BLOCK_SIZE bits."""
-    if mask.bit_count() <= CACHED_BLOCK_SIZE:
-        return _small_set_partitions(mask)
-    return _enumerate_set_partitions(mask)
-
-
-def _enumerate_set_partitions(mask: int) -> tuple[tuple[int, ...], ...]:
-    if not mask:
-        return ((),)
-    low = mask & -mask
-    rest = mask ^ low
-    out = []
-    sub = rest
-    while True:
-        block = sub | low
-        out.extend((block,) + tail for tail in _set_partitions(mask ^ block))
-        if not sub:
-            break
-        sub = (sub - 1) & rest
-    return tuple(out)
-
-
-_small_set_partitions = lru_cache(maxsize=_CACHED_MASKS)(_enumerate_set_partitions)
-
-
 class _Memo(dict):
     """A dict that fills a missing key with fn(key); lives for one call."""
 
@@ -153,17 +116,13 @@ class _Memo(dict):
         return value
 
 
-def _block_elements(mask: int) -> tuple[int, ...]:
-    return tuple(x for x in range(1, mask.bit_length()) if mask >> x & 1)
-
-
 def _least(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
 def _spread(mask: int, field: int) -> int:
     """One in the field of every element of mask."""
-    return sum(1 << field * x for x in _block_elements(mask))
+    return sum(1 << field * x for x in block_elements(mask))
 
 
 def _block_masks(code: int, field: int, n: int) -> list[int]:
@@ -190,7 +149,7 @@ def _refine(support: list, field: int, weight, factor=None) -> dict[int, int]:
             if choices is None:
                 choices = choices_of[mask] = [
                     (sum(map(code_of, parts)), weight(parts))
-                    for parts in _set_partitions(mask)]
+                    for parts in set_partitions(mask)]
             per_block.append(choices)
         if factor is not None:
             coeff *= factor(masks)
@@ -221,7 +180,7 @@ def _coarsen(support: list, field: int, mu: list[int] | None) -> dict[int, int]:
         if table is None:
             table = groupings[k] = [
                 (groups, prod(mu[g.bit_count()] for g in groups) if mu else 1)
-                for groups in _set_partitions((1 << k) - 1)]
+                for groups in set_partitions((1 << k) - 1)]
         # merged[s]: the code of the union of the blocks indexed by the bits
         # of s, whose least element is that of its first block
         spreads = list(map(spread_of, masks))
@@ -255,11 +214,14 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
     support = [(_block_masks(code, field, n), coeff) for code, coeff in terms.items() if coeff]
     if basis == "m":
         pairs = sum(_bell(len(masks)) for masks, _ in support)
+        largest = max((len(masks) for masks, _ in support), default=0)
     else:
         pairs = sum(prod(_bell(mask.bit_count()) for mask in masks) for masks, _ in support)
+        largest = max((mask.bit_count() for masks, _ in support for mask in masks), default=0)
     check_conversion_pairs(pairs, f"{source} -> {target}")
+    # Moebius values are needed only up to the largest block or block count
     mu = [1, 1]
-    for j in range(1, n):
+    for j in range(1, largest):
         mu.append(-j * mu[-1])
     if basis == "m":
         return _coarsen(support, field, mu if source == "m" else None)
@@ -421,6 +383,8 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
     if f.basis == target:
         return f
     n = f.degree
+    if not f._terms:
+        return NCSymElement.zero(target, n)
     field = n.bit_length()
     denominator = lcm(*(coeff.denominator for coeff in f._terms.values()))
     terms = {sum(block[0] * sum(1 << field * x for x in block) for block in pi.blocks):
@@ -432,7 +396,7 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
         terms = _convert_codes(terms, "p", target, n)
         if target in ("e", "h") and n:
             denominator *= factorial(n - 1)
-    elements_of = _Memo(_block_elements).__getitem__
+    elements_of = _Memo(block_elements).__getitem__
     out = {SetPartition._raw(n, tuple(map(elements_of, _block_masks(code, field, n)))):
            Fraction(total, denominator)
            for code, total in terms.items() if total}

@@ -8,10 +8,19 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .errors import DomainError, GraphParseError, InvariantViolation
-from .partitions import Permutation, SetPartition, check_ground_set, weighted_partitions
+from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLimitError
+from .partitions import (
+    Permutation,
+    SetPartition,
+    block_elements,
+    check_ground_set,
+    weighted_partitions,
+)
+
+# parse_graph refuses a larger 'n' header before anything is allocated
+MAX_VERTICES = 10_000
 
 
 class LabeledGraph:
@@ -111,23 +120,10 @@ class LabeledGraph:
         return f"LabeledGraph({self.n}, {list(self.edges)!r})"
 
 
-def _blocks_from_masks(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    blocks = []
-    for mask in masks:
-        block = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            block.append(low.bit_length() - 1)
-            rest ^= low
-        blocks.append(tuple(block))
-    blocks.sort(key=lambda b: b[0])
-    return tuple(blocks)
-
-
 def components_partition(graph: LabeledGraph) -> SetPartition:
     """Set partition of the vertices into connected components."""
-    return SetPartition._raw(graph.n, _blocks_from_masks(graph.component_masks()))
+    # component masks come out by increasing least vertex, so blocks are canonical
+    return SetPartition._raw(graph.n, tuple(map(block_elements, graph.component_masks())))
 
 
 def complete_graph_union(pi: SetPartition) -> LabeledGraph:
@@ -259,37 +255,6 @@ def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
     return ContractionLattice(graph, tuple(order), mobius0)
 
 
-def path_edge_closure(tree: LabeledGraph) -> Callable[[SetPartition], frozenset]:
-    """The map sending a partition of a tree's vertices to the union over its
-    blocks of the tree-path edges joining block members.
-
-    Rooted at 1, the edge above v joins two members of a block exactly when
-    the subtree below v holds some but not all of the block.  Parents and
-    subtree masks are built once per tree.
-    """
-    if not is_tree(tree):
-        raise DomainError("path closure is defined for trees only")
-    parent = [0] * (tree.n + 1)
-    below = [1 << v for v in range(tree.n + 1)]
-    order = [1]
-    for v in order:
-        for u in tree.neighbors(v):
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    for v in reversed(order[1:]):
-        below[parent[v]] |= below[v]
-
-    def closure(sigma: SetPartition) -> frozenset:
-        if sigma.n != tree.n:
-            raise DomainError("partition must live on the tree's vertex set")
-        masks = [sum(1 << x for x in block) for block in sigma.blocks]
-        return frozenset((min(v, parent[v]), max(v, parent[v])) for v in order[1:]
-                         if any(m & below[v] not in (0, m) for m in masks))
-
-    return closure
-
-
 # ---------------------------------------------------------------------------
 # corpora
 
@@ -395,7 +360,7 @@ def find_cycles(graph: LabeledGraph, max_length: int) -> list[tuple[tuple[int, .
 def parse_graph(text: str) -> LabeledGraph:
     """Parse the line format: '#' comments, one 'n <N>' header, then
     'e <u> <v>' lines with 1 <= u < v <= N.  Errors carry line numbers; a
-    vertex count too large to index raises OverflowError instead."""
+    header above MAX_VERTICES raises ResourceLimitError instead."""
     n = None
     edges = []
     seen = set()
@@ -416,6 +381,9 @@ def parse_graph(text: str) -> LabeledGraph:
                 raise GraphParseError(f"bad vertex count {fields[1]!r}", lineno) from None
             if n < 0:
                 raise GraphParseError("vertex count must be nonnegative", lineno)
+            if n > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"line {lineno}: vertex count {n} exceeds the cap of {MAX_VERTICES}")
         elif fields[0] == "e":
             if n is None:
                 raise GraphParseError("edge line before 'n' header", lineno)

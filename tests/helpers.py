@@ -2,6 +2,7 @@
 
 Everything here is deliberately written from first principles with different
 algorithms than the package uses: Bell numbers by the triangle recurrence,
+the order of set partitions by the restricted-growth-string successor walk,
 Moebius values by the recursive defining sum, word expansions by filtering
 all k^n words against the tuple conditions, Y_G by enumerating proper
 colorings, ranks by fraction Gaussian elimination, and commutative monomial
@@ -36,6 +37,29 @@ def bell_numbers(limit: int) -> list[int]:
         values.append(nxt[0])
         row = nxt
     return values
+
+
+def rgs_walk(n: int):
+    """Restricted growth strings of length n in lexicographic order, by the
+    classical successor walk rather than by sorting."""
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    # b[i] = 1 + max(a[:i]); position i may legally hold any value in 0..b[i]
+    b = [1] * n
+    while True:
+        yield tuple(a)
+        i = n - 1
+        while i > 0 and a[i] == b[i]:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        m = b[i] if a[i] < b[i] else a[i] + 1
+        for j in range(i + 1, n):
+            a[j] = 0
+            b[j] = m
 
 
 def mobius_by_recursion(sigma: SetPartition, pi: SetPartition) -> int:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -307,8 +308,14 @@ class TestTrees:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_all_trees_match(self, n):
         for tree in all_labeled_trees(n):
-            assert tree_x_expansion(tree) == \
-                convert(chromatic_symmetric_function(tree), "x")
+            assert dict(tree_x_expansion(tree).terms) == \
+                dict(convert(chromatic_symmetric_function(tree), "x").terms)
+
+    def test_seeded_trees_on_seven_vertices_match(self):
+        trees = random.Random(29).sample(list(all_labeled_trees(7)), 30)
+        for tree in trees:
+            assert dict(tree_x_expansion(tree).terms) == \
+                dict(convert(chromatic_symmetric_function(tree), "x").terms)
 
     def test_non_tree_rejected(self):
         with pytest.raises(DomainError):

@@ -21,6 +21,7 @@ from ncsym.chromatic_bases import MAX_MATRIX_CELLS
 from ncsym.cli import main
 from ncsym.elements import MAX_CONVERSION_PAIRS
 from ncsym.errors import InvariantViolation
+from ncsym.graphs import MAX_VERTICES
 from ncsym.verification import SUITES
 
 
@@ -380,19 +381,75 @@ class TestOutOfResources:
         assert err.startswith("error: maximum recursion depth exceeded")
 
     def test_vertex_count_too_large_to_index_exits_3(self):
-        # past 2^63 the allocation is refused before it starts, so this runs
+        # the header is refused before anything is allocated, so this runs
         # safely in-process
         code, out, err = run_cli("info", "--graph", "-",
                                  stdin_text="n 100000000000000000000\n")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_out_of_memory_exits_3(self, tmp_path):
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch):
+        # a header this large no longer reaches an allocation at all
         path = tmp_path / "huge"
         path.write_text("n 300000000\n")
         proc = run_cli_limited("info", "--graph", str(path))
         assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr == "error: MemoryError\n"
+        assert proc.stderr == (f"error: line 1: vertex count 300000000 exceeds "
+                               f"the cap of {MAX_VERTICES}\n")
+
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_graph", exhausted)
+        code, out, err = run_cli("info", "--graph", "-", stdin_text="n 3\n")
+        assert code == 3 and out == ""
+        assert err == "error: MemoryError\n"
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("command", ["info", "classify"])
+    def test_header_over_the_cap_is_refused_up_front(self, command):
+        start = time.perf_counter()
+        code, out, err = run_cli(command, "--graph", "-",
+                                 stdin_text=f"n {MAX_VERTICES + 1}\n")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert str(MAX_VERTICES) in err and "Traceback" not in err
+
+    def test_header_at_the_cap_is_accepted(self):
+        code, out, _ = run_cli("info", "--graph", "-", stdin_text=f"n {MAX_VERTICES}\n")
+        assert code == 0
+        assert out.startswith(f"vertices: {MAX_VERTICES}\n")
+
+
+class TestZeroElement:
+    @pytest.mark.parametrize("target", ["m", "e", "h", "x"])
+    def test_zero_of_huge_degree_converts_without_a_table(self, tmp_path, target):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"basis": "p", "degree": 10**8, "terms": []}))
+        # under a memory limit first, so a table built by mistake cannot take
+        # the test process with it
+        proc = run_cli_limited("convert", "--expr", str(path), "--from", "p", "--to", target)
+        assert proc.returncode == 0 and proc.stdout == "0\n"
+        start = time.perf_counter()
+        code, out, _ = run_cli("convert", "--expr", str(path), "--from", "p", "--to", target)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == "0\n"
+
+
+def test_text_mode_never_builds_the_json_payload(p3_file, tmp_path, monkeypatch):
+    expected = run_cli("expand", "--graph", p3_file, "--basis", "x")
+    expr = tmp_path / "y.json"
+    expr.write_text(run_cli("expand", "--graph", p3_file, "--basis", "p", "--json")[1])
+    converted = run_cli("convert", "--expr", str(expr), "--from", "p", "--to", "x")
+
+    def refuse(value):
+        raise AssertionError("text mode built the JSON payload")
+
+    monkeypatch.setattr(cli, "element_to_json_dict", refuse)
+    assert run_cli("expand", "--graph", p3_file, "--basis", "x") == expected
+    assert run_cli("convert", "--expr", str(expr), "--from", "p", "--to", "x") == converted
+    assert expected == converted == (0, "x{1,2,3} + x{1,3/2}\n", "")
 
 
 class TestVerify:

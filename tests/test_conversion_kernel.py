@@ -11,7 +11,7 @@ from math import comb, prod
 import pytest
 
 from helpers import bell_numbers, convert_by_columns
-from ncsym import elements
+from ncsym import elements, partitions
 from ncsym.chromatic import chromatic_symmetric_function, conversion_pairs
 from ncsym.elements import (
     BASES,
@@ -135,13 +135,13 @@ class TestCaches:
     def test_only_small_blocks_are_cached(self):
         elements.clear_caches()
         convert(basis_term("p", SetPartition.single_block(8)), "x")
-        cached = elements._small_set_partitions.cache_info().currsize
+        cached = partitions._small_mask_partitions.cache_info().currsize
         # at most the submasks of {1..8} with up to CACHED_BLOCK_SIZE elements
-        assert 0 < cached <= sum(comb(8, k) for k in range(elements.CACHED_BLOCK_SIZE + 1))
-        elements._set_partitions(sum(1 << x for x in range(1, 9)))
-        assert elements._small_set_partitions.cache_info().currsize == cached
+        assert 0 < cached <= sum(comb(8, k) for k in range(partitions.CACHED_BLOCK_SIZE + 1))
+        partitions.set_partitions(sum(1 << x for x in range(1, 9)))
+        assert partitions._small_mask_partitions.cache_info().currsize == cached
         elements.clear_caches()
-        assert elements._small_set_partitions.cache_info().currsize == 0
+        assert partitions._small_mask_partitions.cache_info().currsize == 0
 
     def test_results_do_not_depend_on_cache_state(self):
         f = chromatic_symmetric_function(random_graph(7, 0.5, 4))

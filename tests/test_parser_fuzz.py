@@ -1,9 +1,10 @@
 """Fuzz the three text parsers: each may raise only its documented errors.
 
 No generated input can allocate a large graph in the test process.  Header
-values are either small (at most 10^4) or at least 2^63, which fails at once
-with OverflowError; every other token is built without decimal digits, so
-no line can spell a header in between.
+values reach at most a few past the vertex cap, or lie in [2^63, 2^80]; a
+header above the cap is refused before anything is allocated.  Every other
+token is built without decimal digits, so no line can spell a header in
+between.
 """
 
 import json
@@ -14,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsym.elements import BASES, element_from_json_dict, element_to_json_dict
-from ncsym.errors import DomainError, GraphParseError
-from ncsym.graphs import format_graph, parse_graph
+from ncsym.errors import DomainError, GraphParseError, ResourceLimitError
+from ncsym.graphs import MAX_VERTICES, format_graph, parse_graph
 from ncsym.partitions import parse_partition
 
 SCHEMA = json.loads(resources.files("ncsym").joinpath("schema.json").read_text())
 
 NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
 SMALL_INTS = st.integers(min_value=-3, max_value=12).map(str)
-HEADER_VALUES = st.one_of(st.integers(min_value=-5, max_value=10**4),
+HEADER_VALUES = st.one_of(st.integers(min_value=-5, max_value=MAX_VERTICES + 3),
                           st.integers(min_value=2**63, max_value=2**80))
 
 GRAPH_LINES = st.one_of(
@@ -35,13 +36,37 @@ GRAPH_LINES = st.one_of(
 )
 
 
+def opens_with_oversized_header(text: str) -> bool:
+    """Whether the first line that is neither blank nor a comment is a
+    well-formed 'n <N>' header with N above the cap."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] != "n" or len(fields) != 2:
+            return False
+        try:
+            return int(fields[1]) > MAX_VERTICES
+        except ValueError:
+            return False
+    return False
+
+
 @settings(max_examples=300)
 @given(st.lists(GRAPH_LINES, max_size=8), st.sampled_from(["\n", "\r\n"]))
 def test_parse_graph_raises_only_documented_errors(lines, newline):
+    text = newline.join(lines)
+    oversized = opens_with_oversized_header(text)
     try:
-        graph = parse_graph(newline.join(lines))
-    except (GraphParseError, OverflowError):
+        graph = parse_graph(text)
+    except ResourceLimitError as exc:
+        assert oversized and str(MAX_VERTICES) in str(exc)
         return
+    except GraphParseError:
+        assert not oversized
+        return
+    assert not oversized and graph.n <= MAX_VERTICES
     assert parse_graph(format_graph(graph)) == graph
 
 

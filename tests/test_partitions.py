@@ -4,14 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bell_numbers, coarser_partitions, finer_partitions, mobius_by_recursion
+from helpers import (
+    bell_numbers,
+    coarser_partitions,
+    finer_partitions,
+    mobius_by_recursion,
+    rgs_walk,
+)
+from ncsym import partitions
 from ncsym.errors import DomainError
 from ncsym.graphs import random_graph
 from ncsym.partitions import (
     IntegerPartition,
     Permutation,
     SetPartition,
+    block_elements,
     enumerate_partitions,
+    iter_partitions,
     max_ground_set,
     mobius_from_bottom,
     mobius_interval,
@@ -86,6 +95,27 @@ class TestEnumeration:
             seq = [pi.rgs for pi in enumerate_partitions(n)]
             assert seq == sorted(seq)
             assert len(set(seq)) == len(seq)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_order_matches_the_rgs_walk(self, n):
+        walk = list(rgs_walk(n))
+        assert [pi.rgs for pi in enumerate_partitions(n)] == walk
+        assert [pi.rgs for pi in iter_partitions(n)] == walk
+        assert [pi.blocks for pi in iter_partitions(n)] == [
+            SetPartition.from_rgs(r).blocks for r in walk]
+
+    def test_set_partitions_of_a_mask(self):
+        mask = 0b10110100
+        found = partitions.set_partitions(mask)
+        assert len(found) == BELL[4]
+        for masks in found:
+            assert sum(masks) == mask and len(set(masks)) == len(masks)
+            assert list(masks) == sorted(masks, key=lambda m: m & -m)
+        assert partitions.set_partitions(0) == ((),)
+
+    def test_block_elements(self):
+        assert block_elements(0) == ()
+        assert block_elements(0b10110100) == (2, 4, 5, 7)
 
     def test_limit_is_enforced(self, monkeypatch):
         monkeypatch.setenv("NCSYM_MAX_N", "4")
