@@ -9,7 +9,7 @@ oracles and must agree with it:
 * ``subset``     signed sum over edge subsets, indexed by the partition into
                  connected components of each spanning subgraph;
 * ``mobius``     Moebius-weighted sum over the contraction lattice;
-* ``delcon``     deletion-contraction recursion on a relabeled last edge;
+* ``delcon``     deletion-contraction recursion on the original labels;
 * ``definition`` monomial expansion over proper-coloring patterns, i.e. the
                  partitions all of whose blocks are independent sets.
 
@@ -27,13 +27,10 @@ terms to clique unions.
 No route caches its results: one Y_G costs one O(3^n) table, which is cheap
 to recompute on the graphs that repeat.  Of the 7,104 Y_G that ``verify
 --suite multiplicativity --n 6`` computes, 3,886 repeat an earlier graph,
-and the suite takes the same 1.9 s of CPU with or without a cache.  The only
-module state is the memo shared by
-deletion-contraction calls, which pays because the agreement suite runs that
-route on many graphs with common subgraphs: made local to one call, it raised
-the CPU time of ``verify --suite agreement --n 5`` from 4.0 s to 5.2 s
-(medians of five runs on a 2-vCPU VM).  The memo changes no result, only how
-much of the expansion budget a call uses.
+and the suite takes the same 1.9 s of CPU with or without a cache.  The module
+keeps no state: deletion-contraction memoizes its subproblems for one call
+only, so its result and its use of the expansion budget do not depend on
+what ran before.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from .graphs import (
     LabeledGraph,
     complete_graph_union,
     components_partition,
-    contract_last_edge,
     contraction_lattice,
     delete_edges,
     induced_subgraph,
@@ -65,10 +61,11 @@ from .graphs import (
     is_tree,
 )
 from .partitions import (
-    Permutation,
     SetPartition,
     bell_number,
+    block_elements,
     check_ground_set,
+    clear_caches as clear_partition_caches,
     weighted_partition_sums,
     weighted_partitions,
 )
@@ -76,12 +73,11 @@ from .partitions import (
 DEFAULT_SUBSET_EDGE_LIMIT = 22
 DEFAULT_DELCON_BUDGET = 1 << 21
 
-_delcon_memo: dict[tuple, dict] = {}
-
 
 def clear_caches() -> None:
-    """Drop the deletion-contraction memo, the module's only state."""
-    _delcon_memo.clear()
+    """Drop the set partitions of small masks that ``partitions`` caches; no
+    route here keeps state between calls."""
+    clear_partition_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -261,84 +257,68 @@ def csf_from_contraction_lattice(graph: LabeledGraph) -> NCSymElement:
 # route 3: deletion-contraction
 
 
-class _BudgetExhausted(Exception):
-    """Raised inside the recursion; reported with the limit by the caller."""
-
-
 def csf_by_deletion_contraction(graph: LabeledGraph,
                                 budget: Optional[int] = None) -> NCSymElement:
-    """Deletion-contraction recursion, memoized on the exact labeled graph.
+    """Deletion-contraction recursion on subgraphs that keep their labels.
 
-    Each expansion relabels the lexicographically largest edge onto the two
-    top labels (order-preservingly elsewhere), recurses on deletion and on
-    contraction followed by induction, then undoes the relabeling.
-    Disconnected graphs split into components first.
+    For any edge uv, Y_G = Y_{G-uv} - lift(Y_{G/uv}), where G/uv merges v
+    into u and lift adds v to the block of u.  Colorings of G-uv that give u
+    and v one color are the colorings of G/uv, so this holds in m; lift
+    commutes with the change to p because the coarsenings of pi + v are the
+    lifts of the coarsenings of pi.  A disconnected graph is the product of
+    its components.  A subproblem is a vertex bitmask plus a graph on the
+    original labels, keyed by the mask and the edge tuple; a term is a tuple
+    of block bitmasks in increasing order.  The memo lives for one call, and
+    the budget counts the distinct subproblems that call expands.
     """
     limit = DEFAULT_DELCON_BUDGET if budget is None else budget
-    try:
-        terms = _delcon(graph, [limit])
-    except _BudgetExhausted:
-        raise ResourceLimitError(
-            "deletion-contraction expansion budget exhausted "
-            f"(limit {limit} expansions)") from None
-    return NCSymElement._raw("p", graph.n, dict(terms))
-
-
-def _delcon(graph: LabeledGraph, remaining: list[int]) -> dict:
-    key = graph.key()
-    hit = _delcon_memo.get(key)
-    if hit is not None:
-        return hit
-    if remaining[0] <= 0:
-        raise _BudgetExhausted
-    remaining[0] -= 1
+    memo: dict[tuple[int, tuple], dict[tuple[int, ...], int]] = {}
+    expanded = 0
     n = graph.n
-    if not graph.edges:
-        result = {SetPartition.singletons(n): Fraction(1)}
-    else:
-        comp = components_partition(graph)
-        if len(comp.blocks) > 1:
-            result = _delcon_split(graph, comp, remaining)
+
+    def expand(verts: int, sub: LabeledGraph) -> dict[tuple[int, ...], int]:
+        nonlocal expanded
+        edges = sub.edges
+        key = (verts, edges)
+        terms = memo.get(key)
+        if terms is not None:
+            return terms
+        if expanded >= limit:
+            raise ResourceLimitError(
+                "deletion-contraction expansion budget exhausted "
+                f"(limit {limit} expansions)")
+        expanded += 1
+        low = (verts & -verts).bit_length() - 1
+        if not edges:
+            terms = {tuple(1 << x for x in block_elements(verts)): 1}
+        elif (piece := sub._reach_mask(low, verts)) != verts:
+            # the component of the least vertex times the rest
+            inside = expand(piece, LabeledGraph(n, [e for e in edges if piece >> e[0] & 1]))
+            outside = expand(verts ^ piece,
+                             LabeledGraph(n, [e for e in edges if not piece >> e[0] & 1]))
+            terms = {tuple(sorted(left + right)): a * b
+                     for left, a in inside.items() for right, b in outside.items()}
         else:
-            u, v = graph.edges[-1]
-            others = [x for x in range(1, n + 1) if x != u and x != v]
-            images = [0] * n
-            images[u - 1] = n - 1
-            images[v - 1] = n
-            for slot, x in enumerate(others, start=1):
-                images[x - 1] = slot
-            delta = Permutation(images)
-            moved = LabeledGraph(n, [(delta(a), delta(b)) for a, b in graph.edges])
-            deleted = LabeledGraph(n, [e for e in moved.edges if e != (n - 1, n)])
-            del_terms = _delcon(deleted, remaining)
-            con_terms = _delcon(contract_last_edge(moved), remaining)
-            combined = dict(del_terms)
-            for pi, coeff in con_terms.items():
-                _accumulate(combined, pi.adjoin_top(), -coeff)
-            inverse = delta.inverse()
-            result = {pi.permuted(inverse): coeff for pi, coeff in combined.items()}
-    return _delcon_memo.setdefault(key, result)
+            u, v = edges[-1]
+            terms = dict(expand(verts, LabeledGraph(n, edges[:-1])))
+            # uv is the largest edge, so every other edge at v is av with a < u
+            contracted = LabeledGraph(n, {(a, u if b == v else b) for a, b in edges[:-1]})
+            bit_u, bit_v = 1 << u, 1 << v
+            for blocks, coeff in expand(verts ^ bit_v, contracted).items():
+                lifted = tuple(sorted(b | bit_v if b & bit_u else b for b in blocks))
+                total = terms.get(lifted, 0) - coeff
+                if total:
+                    terms[lifted] = total
+                else:
+                    del terms[lifted]
+        memo[key] = terms
+        return terms
 
-
-def _delcon_split(graph: LabeledGraph, comp: SetPartition,
-                  remaining: list[int]) -> dict:
-    # product over components, then undo the relabeling onto slash position
-    order = [x for block in comp.blocks for x in block]
-    images = [0] * graph.n
-    for slot, x in enumerate(order, start=1):
-        images[x - 1] = slot
-    delta = Permutation(images)
-    product_terms = {SetPartition.empty(): Fraction(1)}
-    for block in comp.blocks:
-        piece = induced_subgraph(graph, block)
-        piece_terms = _delcon(piece, remaining)
-        merged: dict[SetPartition, Fraction] = {}
-        for left, a in product_terms.items():
-            for right, b in piece_terms.items():
-                merged[left.slash(right)] = a * b
-        product_terms = merged
-    inverse = delta.inverse()
-    return {pi.permuted(inverse): coeff for pi, coeff in product_terms.items()}
+    terms = {}
+    for blocks, coeff in expand((1 << (n + 1)) - 2, graph).items():
+        ordered = sorted(blocks, key=lambda b: b & -b)
+        terms[SetPartition._raw(n, tuple(map(block_elements, ordered)))] = Fraction(coeff)
+    return NCSymElement._raw("p", n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -152,21 +152,6 @@ def delete_edges(graph: LabeledGraph, removed: Iterable[tuple[int, int]]) -> Lab
     return LabeledGraph(graph.n, [e for e in graph.edges if e not in gone])
 
 
-def contract_last_edge(graph: LabeledGraph) -> LabeledGraph:
-    """Contract the edge {n-1, n}; the merged vertex keeps label n-1."""
-    n = graph.n
-    if n < 2 or not graph.has_edge(n - 1, n):
-        raise DomainError("contraction requires the edge {n-1, n} to be present")
-    edges = set()
-    for u, v in graph.edges:
-        u2 = n - 1 if u == n else u
-        v2 = n - 1 if v == n else v
-        if u2 == v2:
-            continue
-        edges.add((u2, v2) if u2 < v2 else (v2, u2))
-    return LabeledGraph(n - 1, edges)
-
-
 def relabel(delta: Permutation, graph: LabeledGraph) -> LabeledGraph:
     """Apply a permutation of [n] to the vertex labels."""
     if delta.n != graph.n:

@@ -46,7 +46,7 @@ from .graphs import (
     relabel,
     slash_union,
 )
-from .partitions import Permutation, enumerate_partitions
+from .partitions import Permutation, check_ground_set, enumerate_partitions
 
 EXHAUSTIVE_N = 5
 SAMPLE_COUNT = 50
@@ -158,6 +158,7 @@ def _kdeletion_checks(n: int, seed: Optional[int]) -> list[Check]:
 
 
 def _tree_corpus(n: int, seed: Optional[int]) -> list[LabeledGraph]:
+    check_ground_set(n, "tree corpus")
     if n <= 6:
         return list(all_labeled_trees(n))
     from .graphs import _tree_from_pruefer

@@ -113,20 +113,29 @@ class TestDeletionContraction:
     def test_k2_single_step(self):
         assert csf_by_deletion_contraction(K2) == term("p", "1/2") - term("p", "1,2")
 
+    # the last graph is the star centred at 3, whose largest edge is {3, 5}
     @pytest.mark.parametrize("g", [P3, K3, graph(4, (1, 3), (2, 4)),
-                                   graph(1), graph(4)])
+                                   graph(1), graph(4),
+                                   graph(5, (1, 3), (2, 3), (3, 4), (3, 5))])
     def test_agrees_with_subset_route(self, g):
         assert csf_by_deletion_contraction(g) == csf_from_edge_subsets(g)
 
     def test_budget_exhaustion_is_reported(self):
-        import ncsym.chromatic as chromatic
-        chromatic.clear_caches()
         with pytest.raises(ResourceLimitError) as err:
             csf_by_deletion_contraction(complete_graph_union(
                 SetPartition.single_block(5)), budget=5)
         assert "budget" in str(err.value)
         assert "limit 5 expansions" in str(err.value)
-        chromatic.clear_caches()
+
+    def test_budget_outcome_does_not_depend_on_call_order(self):
+        k5 = complete_graph_union(SetPartition.single_block(5))
+        with pytest.raises(ResourceLimitError) as cold:
+            csf_by_deletion_contraction(k5, budget=5)
+        csf_by_deletion_contraction(k5)
+        with pytest.raises(ResourceLimitError) as warm:
+            csf_by_deletion_contraction(k5, budget=5)
+        assert str(warm.value) == str(cold.value) == (
+            "deletion-contraction expansion budget exhausted (limit 5 expansions)")
 
 
 class TestDefinitionRoute:

@@ -16,7 +16,6 @@ import pytest
 
 import ncsym
 from ncsym import cli
-from ncsym.chromatic import clear_caches
 from ncsym.chromatic_bases import MAX_MATRIX_CELLS
 from ncsym.cli import main
 from ncsym.elements import MAX_CONVERSION_PAIRS
@@ -321,6 +320,16 @@ class TestSizeCap:
         assert code == 3 and out == ""
         assert "NCSYM_MAX_N" in err
 
+    def test_tree_suite_refuses_before_sampling(self):
+        # in a child under a memory limit, so trees sampled by mistake cannot
+        # take the test process with them
+        start = time.perf_counter()
+        proc = run_cli_limited("verify", "--suite", "trees", "--n", "1000000", "--seed", "1")
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: tree corpus limited to n <= ")
+        assert "NCSYM_MAX_N" in proc.stderr
+
     def test_roundtrip_above_the_default_cap_exits_3(self):
         code, _, err = run_cli("verify", "--suite", "roundtrip", "--n", "13")
         assert code == 3
@@ -372,11 +381,8 @@ class TestOutOfResources:
         path = tmp_path / "k45"
         path.write_text("n 45\n" + "".join(
             f"e {u} {v}\n" for u in range(1, 46) for v in range(u + 1, 46)))
-        try:
-            code, out, err = run_cli("expand", "--graph", str(path), "--basis", "p",
-                                     "--method", "delcon")
-        finally:
-            clear_caches()
+        code, out, err = run_cli("expand", "--graph", str(path), "--basis", "p",
+                                 "--method", "delcon")
         assert code == 3 and out == ""
         assert err.startswith("error: maximum recursion depth exceeded")
 

@@ -10,7 +10,6 @@ from ncsym.graphs import (
     all_labeled_trees,
     complete_graph_union,
     components_partition,
-    contract_last_edge,
     contraction_lattice,
     delete_edges,
     find_cycles,
@@ -86,22 +85,6 @@ class TestSurgery:
         assert delete_edges(g, [(2, 3)]).edges == ((1, 2),)
         with pytest.raises(DomainError):
             delete_edges(g, [(1, 3)])
-
-    def test_contract_last_edge(self):
-        g = graph(4, (1, 2), (2, 3), (3, 4))
-        contracted = contract_last_edge(g)
-        assert contracted.n == 3
-        assert contracted.edges == ((1, 2), (2, 3))
-
-    def test_contract_requires_top_edge(self):
-        with pytest.raises(DomainError):
-            contract_last_edge(graph(3, (1, 2)))
-
-    def test_contract_drops_parallel_copies(self):
-        # both 2-4 and 2-3 collapse onto the merged vertex 3
-        g = graph(4, (2, 3), (2, 4), (3, 4))
-        contracted = contract_last_edge(g)
-        assert contracted.edges == ((2, 3),)
 
     def test_relabel(self):
         delta = Permutation((2, 3, 1))
