@@ -1,10 +1,18 @@
+import hashlib
+import json
+
 import pytest
 
 import ncsym.verification
-from ncsym.chromatic import chromatic_symmetric_function
+from ncsym.chromatic import (
+    chromatic_symmetric_function,
+    csf_from_connected_subsets,
+    tree_x_expansion,
+)
 from ncsym.cli import main
-from ncsym.elements import scale
-from ncsym.errors import DomainError
+from ncsym.elements import act, basis_term, convert, multiply, scale
+from ncsym.errors import DomainError, InvariantViolation
+from ncsym.partitions import parse_partition
 from ncsym.verification import SUITES, needs_seed, run_suite
 
 
@@ -101,3 +109,59 @@ def test_agreement_fails_on_a_wrong_kernel(monkeypatch, capsys):
     assert result.passed == 0 and not result.ok
     assert main(["verify", "--suite", "agreement", "--n", "3"]) == 1
     assert "[connected subsets]" in capsys.readouterr().out
+
+
+
+def _negated(fn):
+    return lambda *args: scale(fn(*args), -1)
+
+
+def _finest_p(graph, edges):
+    return basis_term("p", parse_partition("/".join(map(str, range(1, graph.n + 1)))))
+
+
+def _uncertified(n, strategy):
+    raise InvariantViolation("diagonal coefficient at 1,2/3 is 0")
+
+
+# case -> (suite, patched name, fault, n, seed); one injected fault per suite
+FAULTS = {
+    "agreement": ("agreement", "csf_from_connected_subsets",
+                  _negated(csf_from_connected_subsets), 3, None),
+    "roundtrip": ("roundtrip", "convert", lambda f, b: scale(convert(f, b), 2), 3, None),
+    "kdeletion": ("kdeletion", "k_deletion_sum", _finest_p, 4, None),
+    "trees": ("trees", "tree_x_expansion", _negated(tree_x_expansion), 4, None),
+    "multiplicativity": ("multiplicativity", "multiply", _negated(multiply), 3, None),
+    "relabeling": ("relabeling", "act", _negated(act), 3, 5),
+    "epos-scan": ("epos-scan", "chromatic_symmetric_function",
+                  _negated(chromatic_symmetric_function), 3, None),
+    "xsign-scan": ("xsign-scan", "chromatic_symmetric_function",
+                   _negated(chromatic_symmetric_function), 3, None),
+    "bases": ("bases", "express", lambda f, basis: {}, 3, 13),
+    "bases uncertified": ("bases", "build_basis", _uncertified, 3, 13),
+}
+
+# SHA-256 of each failing report's sorted, indented JSON, recorded while every
+# suite still built its instances up front
+FAILING_DIGESTS = {
+    "agreement": "29c3a529291238d5b38ef139dfa57a3f459f00f0c8a05ac756d9c3579181e7f0",
+    "bases": "a635b917d89048d5e09ba1ac57c7670d22e11f4f50804b9bfd6c2a1531133dbf",
+    "bases uncertified": "dd7b02fa94186e970dc4e37252d3fd4d98ed5d1519cf36c1fed543a1af5c5639",
+    "epos-scan": "eb5cb28a00bd9673324b33d69e4d02bf0cbb6b0fc747781de666e0b27871a50a",
+    "kdeletion": "d35038c082524dab3220325ac1f81cec671a6239c923b9e173124429bcfbd3ed",
+    "multiplicativity": "001716d67a641db9f81b8ca6bf8820fcb5b7bb45a9642c4a265041db4fa9c6b5",
+    "relabeling": "68aa0c663ec7ee2d0ed5315f6b31b274e10e079e9506fa549a94d89ae7d19535",
+    "roundtrip": "cc237571de791e365fc7594ec926fcf1d59ee9a6544453436a3f6eae560ed1e3",
+    "trees": "3b3574d934ae8a5017cd63763852b28c56ee6a2fd2a5b612b06e5ec2045f162c",
+    "xsign-scan": "8e990792f4ae624114840040b14390dcd6c2e9cb15f557238cb2dc2c235f8fe2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_failing_reports_are_pinned(case, monkeypatch):
+    suite, name, fault, n, seed = FAULTS[case]
+    monkeypatch.setattr(ncsym.verification, name, fault)
+    result = run_suite(suite, n, seed=seed)
+    assert not result.ok
+    text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAILING_DIGESTS[case]
