@@ -24,7 +24,6 @@ from .partitions import (
     bell_number,
     check_ground_set,
     enumerate_partitions,
-    iter_partitions,
 )
 
 MAX_MATRIX_CELLS = 1_000_000
@@ -109,27 +108,17 @@ def basis_graph(strategy: AtomicGeneratorStrategy, pi: SetPartition) -> LabeledG
     return graph
 
 
-def atomic_partitions_upto(n: int) -> list[SetPartition]:
-    """All atomic set partitions of [m] for 1 <= m <= n."""
-    out = []
-    for m in range(1, n + 1):
-        out.extend(pi for pi in iter_partitions(m) if pi.is_atomic)
-    return out
-
-
 @dataclass(frozen=True)
 class ChromaticBasis:
     """A certified chromatic basis in degree n.
 
     order lists the set partitions in canonical enumeration order; graphs and
-    elements are aligned with it, elements in the p basis.  generators maps
-    each atomic partition of ground sets up to n to its generator graph.
+    elements are aligned with it, elements in the p basis.
     """
 
     n: int
     strategy: AtomicGeneratorStrategy
     order: tuple[SetPartition, ...]
-    generators: dict[SetPartition, LabeledGraph]
     graphs: tuple[LabeledGraph, ...]
     elements: tuple[NCSymElement, ...]
 
@@ -159,13 +148,11 @@ def build_basis(n: int, strategy: AtomicGeneratorStrategy) -> ChromaticBasis:
     suite agreement, which matches the lattice route against edge subsets.
     """
     order = tuple(enumerate_partitions(n))
-    generators = {alpha: generator_graph(strategy, alpha)
-                  for alpha in atomic_partitions_upto(n)}
     graphs = []
     elements = []
     for pi in order:
         graph = basis_graph(strategy, pi)
-        value = convert(chromatic_symmetric_function(graph), "p")
+        value = chromatic_symmetric_function(graph)
         for sigma, coeff in value._terms.items():
             if not sigma.refines(pi):
                 raise InvariantViolation(
@@ -175,8 +162,7 @@ def build_basis(n: int, strategy: AtomicGeneratorStrategy) -> ChromaticBasis:
             raise InvariantViolation(f"diagonal coefficient at {pi.to_text()} is 0")
         graphs.append(graph)
         elements.append(value)
-    return ChromaticBasis(n, strategy, order, generators,
-                          tuple(graphs), tuple(elements))
+    return ChromaticBasis(n, strategy, order, tuple(graphs), tuple(elements))
 
 
 def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fraction]:

@@ -64,6 +64,15 @@ def _emit(payload: dict, as_json: bool, render) -> None:
 
 
 def _print_element(value, as_json: bool) -> None:
+    # refuse before writing a byte: str() of an int fails past this limit
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bound = 10 ** limit
+        for coeff in value.terms.values():
+            if abs(coeff.numerator) >= bound or coeff.denominator >= bound:
+                raise ResourceLimitError(
+                    f"a coefficient has more than {limit} digits, the integer "
+                    "string limit of this Python (PYTHONINTMAXSTRDIGITS)")
     # text mode prints the element itself and never builds the JSON payload
     print(json.dumps(element_to_json_dict(value), indent=2, sort_keys=True) if as_json else value)
 
@@ -81,9 +90,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    text = _read_input(args.expr)
     try:
-        data = json.loads(_read_input(args.expr))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:
+        # malformed JSON, or an integer longer than the interpreter will parse
         raise DomainError(f"invalid JSON input: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("expression file must hold a JSON object")

@@ -231,28 +231,32 @@ def sym_monomial_expansion(f, k: int) -> dict:
     return {e: c for e, c in total.items() if c}
 
 
-def partitions_of_labels(labels):
+@cache
+def partitions_of_labels(labels: tuple) -> tuple:
     """All partitions of an ascending label tuple, as tuples of blocks."""
-    labels = tuple(labels)
-    for pi in iter_partitions(len(labels)):
-        yield tuple(tuple(labels[x - 1] for x in block) for block in pi.blocks)
+    return tuple(tuple(tuple(labels[x - 1] for x in block) for block in pi.blocks)
+                 for pi in iter_partitions(len(labels)))
+
+
+# Both enumerators build canonical blocks (ascending, ordered by least
+# element), so they skip SetPartition's validation.
 
 
 def finer_partitions(pi: SetPartition):
     """All sigma <= pi: each block of pi refined independently."""
-    per_block = [tuple(partitions_of_labels(block)) for block in pi.blocks]
+    per_block = [partitions_of_labels(block) for block in pi.blocks]
     for combo in product(*per_block):
         blocks = [block for part in combo for block in part]
         blocks.sort(key=lambda b: b[0])
-        yield SetPartition(pi.n, blocks)
+        yield SetPartition._raw(pi.n, tuple(blocks))
 
 
 def coarser_partitions(pi: SetPartition):
     """All sigma >= pi: blocks of pi merged along a partition of the block list."""
-    for grouping in partitions_of_labels(range(len(pi.blocks))):
-        blocks = [sorted(x for index in group for x in pi.blocks[index])
-                  for group in grouping]
-        yield SetPartition(pi.n, blocks)
+    for grouping in partitions_of_labels(tuple(range(len(pi.blocks)))):
+        blocks = tuple(tuple(sorted(x for index in group for x in pi.blocks[index]))
+                       for group in grouping)
+        yield SetPartition._raw(pi.n, blocks)
 
 
 @cache

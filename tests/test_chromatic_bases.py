@@ -11,7 +11,6 @@ from ncsym.chromatic_bases import (
     MAX_MATRIX_CELLS,
     PATH_PER_BLOCK,
     AtomicGeneratorStrategy,
-    atomic_partitions_upto,
     basis_graph,
     build_basis,
     builtin_strategy,
@@ -59,16 +58,6 @@ class TestGenerators:
         assert builtin_strategy("path_per_block") is PATH_PER_BLOCK
         with pytest.raises(DomainError):
             builtin_strategy("stars")
-
-    def test_atomic_inventory(self):
-        atoms = atomic_partitions_upto(4)
-        assert all(a.is_atomic for a in atoms)
-        # 1, 12, 123, 13/2, 1234, 124/3, 134/2, 13/24, 14/23, 14/2/3, 13/2/4 ...
-        by_size = {}
-        for a in atoms:
-            by_size[a.n] = by_size.get(a.n, 0) + 1
-        assert by_size[1] == 1 and by_size[2] == 1
-        assert by_size[2] + by_size[1] == 2
 
     def test_custom_generator_table(self):
         alpha = parse_partition("1,3/2")

@@ -227,6 +227,49 @@ class TestConvert:
         assert json.loads(out3) == payload
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="this interpreter has no integer string limit")
+class TestBigIntegers:
+    """Exact coefficients longer than the interpreter's integer string limit
+    are refused with an exit code, in both output modes."""
+
+    @staticmethod
+    def _element(tmp_path, terms):
+        path = tmp_path / "big.json"
+        entries = ", ".join(f'{{"partition": "{pi}", "num": {num}, "den": 1}}'
+                            for pi, num in terms)
+        path.write_text(f'{{"basis": "p", "degree": 2, "terms": [{entries}]}}')
+        return str(path)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_integer_over_the_parse_limit_exits_2(self, tmp_path, mode):
+        expr = self._element(tmp_path, [("1/2", "9" * (sys.get_int_max_str_digits() + 1))])
+        start = time.perf_counter()
+        code, out, err = run_cli("convert", "--expr", expr, "--from", "p", "--to", "m", *mode)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON input: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_sum_over_the_print_limit_exits_3(self, tmp_path, mode):
+        # p{1/2} = m{1/2} + m{1,2}, so the m{1,2} coefficient is 2 * (10^L - 1)
+        limit = sys.get_int_max_str_digits()
+        expr = self._element(tmp_path, [("1/2", "9" * limit), ("1,2", "9" * limit)])
+        start = time.perf_counter()
+        code, out, err = run_cli("convert", "--expr", expr, "--from", "p", "--to", "m", *mode)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err == (f"error: a coefficient has more than {limit} digits, the integer "
+                       "string limit of this Python (PYTHONINTMAXSTRDIGITS)\n")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_coefficient_at_the_print_limit_is_printed(self, tmp_path, mode):
+        num = "9" * sys.get_int_max_str_digits()
+        expr = self._element(tmp_path, [("1,2", num)])
+        code, out, _ = run_cli("convert", "--expr", expr, "--from", "p", "--to", "m", *mode)
+        assert code == 0 and num in out
+
+
 class TestClassify:
     def test_path(self, p3_file, schema):
         code, out, _ = run_cli("classify", "--graph", p3_file, "--json")

@@ -13,7 +13,7 @@ from ncsym.cli import main
 from ncsym.elements import act, basis_term, convert, multiply, scale
 from ncsym.errors import DomainError, InvariantViolation
 from ncsym.partitions import parse_partition
-from ncsym.verification import SUITES, needs_seed, run_suite
+from ncsym.verification import SUITES, run_suite
 
 
 def test_registry_is_complete():
@@ -27,14 +27,22 @@ def test_unknown_suite_rejected():
         run_suite("everything", 3)
 
 
-def test_seed_requirements():
-    assert needs_seed("relabeling", 2)
-    assert needs_seed("bases", 2)
-    assert needs_seed("agreement", 6)
-    assert not needs_seed("agreement", 5)
-    assert not needs_seed("roundtrip", 6)
-    assert not needs_seed("trees", 6)
-    assert needs_seed("trees", 7)
+@pytest.mark.parametrize("suite,n", [
+    ("agreement", 6), ("kdeletion", 6), ("epos-scan", 6), ("xsign-scan", 6),
+    ("trees", 7), ("multiplicativity", 7), ("relabeling", 2), ("bases", 2),
+])
+def test_sampling_sizes_need_a_seed(suite, n):
+    with pytest.raises(DomainError, match="needs an explicit seed"):
+        run_suite(suite, n)
+
+
+@pytest.mark.parametrize("suite,n", [
+    ("xsign-scan", 5), ("trees", 6), ("multiplicativity", 6), ("roundtrip", 6),
+])
+def test_largest_exhaustive_sizes_run_without_a_seed(suite, n):
+    # the graph corpus of agreement, kdeletion, epos-scan and xsign-scan is shared
+    result = run_suite(suite, n)
+    assert result.seed is None and result.ok
 
 
 def test_missing_seed_is_a_domain_error():
