@@ -61,6 +61,7 @@ from .graphs import (
     is_tree,
 )
 from .partitions import (
+    IntegerPartition,
     SetPartition,
     bell_number,
     block_elements,
@@ -70,8 +71,8 @@ from .partitions import (
     weighted_partitions,
 )
 
-DEFAULT_SUBSET_EDGE_LIMIT = 22
-DEFAULT_DELCON_BUDGET = 1 << 21
+SUBSET_EDGE_LIMIT = 22
+DELCON_BUDGET = 1 << 21
 
 
 def clear_caches() -> None:
@@ -85,93 +86,63 @@ def clear_caches() -> None:
 
 
 def _walk_edge_subsets(graph: LabeledGraph,
-                       visit: Callable[[tuple[tuple[int, ...], ...], int], None]) -> None:
-    """Call visit(blocks, sign) once per edge subset, where blocks is the
-    canonical component partition of the subset and sign is (-1)^|subset|.
+                       visit: Callable[[tuple[int, ...], int], None]) -> None:
+    """Call visit(masks, sign) once per edge subset, where masks holds the
+    vertex bitmasks (bit x for vertex x) of the subset's components in
+    increasing order of least vertex and sign is (-1)^|subset|.
 
-    Uses a union-find with an undo trail so each inclusion/exclusion step is
-    near constant time.
+    The recursion skips each edge, then takes it.  Taking an edge that joins
+    two components puts their union in the place of the one with the smaller
+    least vertex and drops the other; the union keeps that least vertex, so
+    the order holds without sorting.
     """
-    n = graph.n
-    edges = graph.edges
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    trail: list[int] = []
+    ends = [1 << u | 1 << v for u, v in graph.edges]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(u: int, v: int) -> None:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            trail.append(0)
+    def recurse(i: int, masks: tuple[int, ...], sign: int) -> None:
+        if i == len(ends):
+            visit(masks, sign)
             return
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        trail.append(rv)
-
-    def undo() -> None:
-        rv = trail.pop()
-        if rv:
-            ru = parent[rv]
-            parent[rv] = rv
-            size[ru] -= size[rv]
-
-    def blocks_now() -> tuple[tuple[int, ...], ...]:
-        groups: dict[int, list[int]] = {}
-        for x in range(1, n + 1):
-            groups.setdefault(find(x), []).append(x)
-        return tuple(tuple(g) for g in sorted(groups.values(), key=lambda b: b[0]))
-
-    def recurse(i: int, sign: int) -> None:
-        if i == len(edges):
-            visit(blocks_now(), sign)
+        recurse(i + 1, masks, sign)
+        hit = [k for k, mask in enumerate(masks) if mask & ends[i]]
+        if len(hit) == 1:
+            recurse(i + 1, masks, -sign)
             return
-        recurse(i + 1, sign)
-        union(*edges[i])
-        recurse(i + 1, -sign)
-        undo()
+        a, b = hit
+        recurse(i + 1, masks[:a] + (masks[a] | masks[b],) + masks[a + 1:b] + masks[b + 1:],
+                -sign)
 
-    recurse(0, 1)
+    recurse(0, tuple(1 << x for x in range(1, graph.n + 1)), 1)
 
 
-def _check_subset_limit(graph: LabeledGraph, edge_limit: Optional[int]) -> None:
-    limit = DEFAULT_SUBSET_EDGE_LIMIT if edge_limit is None else edge_limit
-    if len(graph.edges) > limit:
+def _check_subset_limit(graph: LabeledGraph) -> None:
+    if len(graph.edges) > SUBSET_EDGE_LIMIT:
         raise ResourceLimitError(
-            f"edge-subset expansion limited to {limit} edges, graph has {len(graph.edges)}")
+            f"edge-subset expansion limited to {SUBSET_EDGE_LIMIT} edges, "
+            f"graph has {len(graph.edges)}")
 
 
-def csf_from_edge_subsets(graph: LabeledGraph,
-                          edge_limit: Optional[int] = None) -> NCSymElement:
+def csf_from_edge_subsets(graph: LabeledGraph) -> NCSymElement:
     """Signed edge-subset expansion; returns a p-basis element."""
-    _check_subset_limit(graph, edge_limit)
-    counts: dict[tuple, int] = {}
+    _check_subset_limit(graph)
+    counts: dict[tuple[int, ...], int] = {}
 
-    def visit(blocks, sign):
-        counts[blocks] = counts.get(blocks, 0) + sign
+    def visit(masks, sign):
+        counts[masks] = counts.get(masks, 0) + sign
 
     _walk_edge_subsets(graph, visit)
-    terms = {SetPartition._raw(graph.n, blocks): Fraction(total)
-             for blocks, total in counts.items() if total}
+    terms = {SetPartition._raw(graph.n, tuple(map(block_elements, masks))): Fraction(total)
+             for masks, total in counts.items() if total}
     return NCSymElement._raw("p", graph.n, terms)
 
 
-def classical_csf(graph: LabeledGraph,
-                  edge_limit: Optional[int] = None) -> SymElement:
+def classical_csf(graph: LabeledGraph) -> SymElement:
     """The commuting-variable chromatic symmetric function, computed by its
     own edge-subset expansion over power sums indexed by component shapes."""
-    _check_subset_limit(graph, edge_limit)
-    from .partitions import IntegerPartition
-
+    _check_subset_limit(graph)
     counts: dict[tuple, int] = {}
 
-    def visit(blocks, sign):
-        lam = tuple(sorted((len(b) for b in blocks), reverse=True))
+    def visit(masks, sign):
+        lam = tuple(sorted(map(int.bit_count, masks), reverse=True))
         counts[lam] = counts.get(lam, 0) + sign
 
     _walk_edge_subsets(graph, visit)
@@ -257,8 +228,7 @@ def csf_from_contraction_lattice(graph: LabeledGraph) -> NCSymElement:
 # route 3: deletion-contraction
 
 
-def csf_by_deletion_contraction(graph: LabeledGraph,
-                                budget: Optional[int] = None) -> NCSymElement:
+def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
     """Deletion-contraction recursion on subgraphs that keep their labels.
 
     For any edge uv, Y_G = Y_{G-uv} - lift(Y_{G/uv}), where G/uv merges v
@@ -271,7 +241,6 @@ def csf_by_deletion_contraction(graph: LabeledGraph,
     of block bitmasks in increasing order.  The memo lives for one call, and
     the budget counts the distinct subproblems that call expands.
     """
-    limit = DEFAULT_DELCON_BUDGET if budget is None else budget
     memo: dict[tuple[int, tuple], dict[tuple[int, ...], int]] = {}
     expanded = 0
     n = graph.n
@@ -283,10 +252,10 @@ def csf_by_deletion_contraction(graph: LabeledGraph,
         terms = memo.get(key)
         if terms is not None:
             return terms
-        if expanded >= limit:
+        if expanded >= DELCON_BUDGET:
             raise ResourceLimitError(
                 "deletion-contraction expansion budget exhausted "
-                f"(limit {limit} expansions)")
+                f"(limit {DELCON_BUDGET} expansions)")
         expanded += 1
         low = (verts & -verts).bit_length() - 1
         if not edges:
@@ -522,14 +491,10 @@ def classify_e_positivity(graph: LabeledGraph) -> EPositivityReport:
     cliqueish = is_clique_union(graph)
     witness = None
     if not cliqueish:
-        index = next(i for i, sub in enumerate(subgraphs) if not is_clique_union(sub))
-        sub, block = subgraphs[index], comp.blocks[index]
-        pair = next((u, v) for u, v in combinations(range(1, sub.n + 1), 2)
-                    if not sub.has_edge(u, v))
-        embedded_blocks = [tuple(block[x - 1] for x in pair),
-                           tuple(x for i, x in enumerate(block, 1) if i not in pair)]
-        embedded_blocks.extend(b for i, b in enumerate(comp.blocks) if i != index)
-        witness = (SetPartition(graph.n, embedded_blocks), -top)
+        pair = next(pair for block in comp.blocks for pair in combinations(block, 2)
+                    if not graph.has_edge(*pair))
+        blocks = [pair] + [tuple(x for x in block if x not in pair) for block in comp.blocks]
+        witness = (SetPartition(graph.n, blocks), -top)
     verdict = "e_positive" if cliqueish else "mixed"
     return EPositivityReport(verdict, cliqueish, witness, top)
 

@@ -93,9 +93,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     text = _read_input(args.expr)
     try:
         data = json.loads(text)
-    except ValueError as exc:
-        # malformed JSON, or an integer longer than the interpreter will parse
+    except json.JSONDecodeError as exc:
         raise DomainError(f"invalid JSON input: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter will parse
+        raise DomainError(
+            f"invalid JSON input: an integer has more than {sys.get_int_max_str_digits()} "
+            "digits, the integer string limit of this Python (PYTHONINTMAXSTRDIGITS)") from exc
     if not isinstance(data, dict):
         raise DomainError("expression file must hold a JSON object")
     f = element_from_json_dict(data)

@@ -129,7 +129,7 @@ def _roundtrip(n: int, rng: Callable[[], random.Random]) -> Iterator[Optional[di
 def _check_roundtrip(pi: SetPartition, basis: str) -> Optional[dict]:
     start = basis_term(basis, pi)
     back = convert(convert(start, "p"), basis)
-    if back != start or dict(back.terms) != dict(start.terms):
+    if back != start:
         return _failure(f"{basis}_{{{pi.to_text()}}}",
                         str(start), str(back))
     return None
@@ -164,7 +164,7 @@ def _trees(n: int, rng: Callable[[], random.Random]) -> Iterator[Optional[dict]]
 def _check_tree(tree: LabeledGraph) -> Optional[dict]:
     closed = tree_x_expansion(tree)
     computed = convert(chromatic_symmetric_function(tree), "x")
-    if closed != computed or dict(closed.terms) != dict(computed.terms):
+    if closed != computed:
         return _failure(_graph_text(tree), str(closed), str(computed))
     return None
 

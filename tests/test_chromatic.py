@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from helpers import coloring_words, signed_subset_expansion
+from ncsym import chromatic
 from ncsym.chromatic import (
     chromatic_symmetric_function,
     classical_csf,
@@ -82,15 +83,16 @@ class TestSubsetRoute:
             assert dict(csf_from_edge_subsets(g).terms) == \
                 signed_subset_expansion(g)
 
-    def test_edge_limit_is_named(self):
+    def test_edge_limit_is_named(self, monkeypatch):
         big = complete_graph_union(SetPartition.single_block(8))  # 28 edges
         with pytest.raises(ResourceLimitError) as err:
             csf_from_edge_subsets(big)
         assert "22" in str(err.value)
-        # an explicit limit overrides the default
-        assert csf_from_edge_subsets(K3, edge_limit=3).degree == 3
-        with pytest.raises(ResourceLimitError):
-            csf_from_edge_subsets(K3, edge_limit=2)
+        # the limit is read at call time
+        monkeypatch.setattr(chromatic, "SUBSET_EDGE_LIMIT", 2)
+        with pytest.raises(ResourceLimitError) as err:
+            csf_from_edge_subsets(K3)
+        assert str(err.value) == "edge-subset expansion limited to 2 edges, graph has 3"
 
 
 class TestMobiusRoute:
@@ -120,20 +122,24 @@ class TestDeletionContraction:
     def test_agrees_with_subset_route(self, g):
         assert csf_by_deletion_contraction(g) == csf_from_edge_subsets(g)
 
-    def test_budget_exhaustion_is_reported(self):
+    def test_budget_exhaustion_is_reported(self, monkeypatch):
+        monkeypatch.setattr(chromatic, "DELCON_BUDGET", 5)
         with pytest.raises(ResourceLimitError) as err:
             csf_by_deletion_contraction(complete_graph_union(
-                SetPartition.single_block(5)), budget=5)
+                SetPartition.single_block(5)))
         assert "budget" in str(err.value)
         assert "limit 5 expansions" in str(err.value)
 
-    def test_budget_outcome_does_not_depend_on_call_order(self):
+    def test_budget_outcome_does_not_depend_on_call_order(self, monkeypatch):
         k5 = complete_graph_union(SetPartition.single_block(5))
-        with pytest.raises(ResourceLimitError) as cold:
-            csf_by_deletion_contraction(k5, budget=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(chromatic, "DELCON_BUDGET", 5)
+            with pytest.raises(ResourceLimitError) as cold:
+                csf_by_deletion_contraction(k5)
         csf_by_deletion_contraction(k5)
+        monkeypatch.setattr(chromatic, "DELCON_BUDGET", 5)
         with pytest.raises(ResourceLimitError) as warm:
-            csf_by_deletion_contraction(k5, budget=5)
+            csf_by_deletion_contraction(k5)
         assert str(warm.value) == str(cold.value) == (
             "deletion-contraction expansion budget exhausted (limit 5 expansions)")
 
