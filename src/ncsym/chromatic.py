@@ -13,6 +13,10 @@ oracles and must agree with it:
 * ``definition`` monomial expansion over proper-coloring patterns, i.e. the
                  partitions all of whose blocks are independent sets.
 
+``definition`` is also the CLI's default route into m: its terms are the
+output, where the kernel would need a change of basis out of p.  ``verify
+--suite agreement`` still checks it independently, converted into p.
+
 The kernel, ``definition`` and ``mobius`` all enumerate partitions through
 ``partitions.weighted_partitions``, each with its own per-block table:
 connected Moebius values, independent sets, connected sets.  ``subset`` and
@@ -196,20 +200,18 @@ def csf_from_connected_subsets(graph: LabeledGraph) -> NCSymElement:
 
 
 def conversion_pairs(graph: LabeledGraph, basis: str) -> int:
-    """The partition pairs that convert(Y_G, basis) visits out of p, counted
-    from connected_mobius without building Y_G: its p support is the
-    partitions into connected blocks.  Into e, h or x each support partition
-    pi costs prod_B B_|B|, into m B_k(pi); the latter sum is recounted by the
-    coarsening sigma, each block C of sigma paying the number of connected
-    partitions of C."""
+    """The partition pairs that expanding Y_G into basis visits, counted
+    without building Y_G.  Out of p into e, h or x each partition pi into
+    connected blocks, the p support, costs prod_B B_|B|.  Into m, which the
+    coloring definition gives directly, the count is the number of output
+    terms: the partitions into independent sets."""
     if basis == "p":
         return 0
-    connected = [1 if value else 0 for value in connected_mobius(graph)]
     full = (1 << (graph.n + 1)) - 2
     if basis == "m":
-        return weighted_partition_sums(graph.n, weighted_partition_sums(graph.n, connected))[full]
-    weight = [bell_number(mask.bit_count()) if flag else 0
-              for mask, flag in enumerate(connected)]
+        return weighted_partition_sums(graph.n, _independent_sets(graph))[full]
+    weight = [bell_number(mask.bit_count()) if value else 0
+              for mask, value in enumerate(connected_mobius(graph))]
     return weighted_partition_sums(graph.n, weight)[full]
 
 
@@ -238,8 +240,9 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
     lifts of the coarsenings of pi.  A disconnected graph is the product of
     its components.  A subproblem is a vertex bitmask plus a graph on the
     original labels, keyed by the mask and the edge tuple; a term is a tuple
-    of block bitmasks in increasing order.  The memo lives for one call, and
-    the budget counts the distinct subproblems that call expands.
+    of block bitmasks in increasing order of least vertex, which lifting v
+    into the block of u < v keeps.  The memo lives for one call, and the
+    budget counts the distinct subproblems that call expands.
     """
     memo: dict[tuple[int, tuple], dict[tuple[int, ...], int]] = {}
     expanded = 0
@@ -265,7 +268,7 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
             inside = expand(piece, LabeledGraph(n, [e for e in edges if piece >> e[0] & 1]))
             outside = expand(verts ^ piece,
                              LabeledGraph(n, [e for e in edges if not piece >> e[0] & 1]))
-            terms = {tuple(sorted(left + right)): a * b
+            terms = {tuple(sorted(left + right, key=lambda b: b & -b)): a * b
                      for left, a in inside.items() for right, b in outside.items()}
         else:
             u, v = edges[-1]
@@ -274,7 +277,7 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
             contracted = LabeledGraph(n, {(a, u if b == v else b) for a, b in edges[:-1]})
             bit_u, bit_v = 1 << u, 1 << v
             for blocks, coeff in expand(verts ^ bit_v, contracted).items():
-                lifted = tuple(sorted(b | bit_v if b & bit_u else b for b in blocks))
+                lifted = tuple(b | bit_v if b & bit_u else b for b in blocks)
                 total = terms.get(lifted, 0) - coeff
                 if total:
                     terms[lifted] = total
@@ -283,10 +286,8 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
         memo[key] = terms
         return terms
 
-    terms = {}
-    for blocks, coeff in expand((1 << (n + 1)) - 2, graph).items():
-        ordered = sorted(blocks, key=lambda b: b & -b)
-        terms[SetPartition._raw(n, tuple(map(block_elements, ordered)))] = Fraction(coeff)
+    terms = {SetPartition._raw(n, tuple(map(block_elements, blocks))): Fraction(coeff)
+             for blocks, coeff in expand((1 << (n + 1)) - 2, graph).items()}
     return NCSymElement._raw("p", n, terms)
 
 
@@ -294,18 +295,29 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
 # route 4: the coloring definition
 
 
-def csf_from_colorings(graph: LabeledGraph) -> NCSymElement:
-    """Monomial expansion: one m term per partition of the vertices into
-    independent sets (the equality patterns of proper colorings)."""
+def _independent_sets(graph: LabeledGraph) -> bytearray:
+    """The table over vertex bitmasks (bit x for vertex x) that is 1 exactly
+    on the independent sets, filled as connected_mobius fills its own."""
     n = graph.n
     check_ground_set(n, "coloring expansion")
     adj = graph._adj
-    independent = [not any(s >> x & 1 and adj[x] & s for x in range(1, n + 1))
-                   for s in range(1 << (n + 1))]
-    terms = weighted_partitions(n, independent)
+    size = 1 << (n + 1)
+    indep = bytearray(size)
+    indep[0] = 1
+    for s in range(2, size, 2):
+        low = s & -s
+        rest = s ^ low
+        indep[s] = indep[rest] and not adj[low.bit_length() - 1] & rest
+    return indep
+
+
+def csf_from_colorings(graph: LabeledGraph) -> NCSymElement:
+    """Monomial expansion: one m term per partition of the vertices into
+    independent sets (the equality patterns of proper colorings)."""
+    terms = weighted_partitions(graph.n, _independent_sets(graph))
     for pi in terms:
         terms[pi] = Fraction(1)
-    return NCSymElement._raw("m", n, terms)
+    return NCSymElement._raw("m", graph.n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,6 @@ def _path_rule(alpha: SetPartition) -> LabeledGraph:
 PATH_PER_BLOCK = AtomicGeneratorStrategy("path_per_block", _path_rule)
 CLIQUE_PER_BLOCK = AtomicGeneratorStrategy("clique_per_block", complete_graph_union)
 
-_BUILTIN = {s.name: s for s in (PATH_PER_BLOCK, CLIQUE_PER_BLOCK)}
-
-
-def builtin_strategy(name: str) -> AtomicGeneratorStrategy:
-    try:
-        return _BUILTIN[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown strategy {name!r}; choose from {sorted(_BUILTIN)}") from None
-
 
 def strategy_from_generators(name: str,
                              table: dict[SetPartition, LabeledGraph]) -> AtomicGeneratorStrategy:

@@ -23,8 +23,9 @@ from .chromatic import (
     x_sign_report,
 )
 from .chromatic_bases import (
+    CLIQUE_PER_BLOCK,
+    PATH_PER_BLOCK,
     build_basis,
-    builtin_strategy,
     check_matrix_size,
     transition_matrix_json,
 )
@@ -46,7 +47,7 @@ from .graphs import (
 from .verification import SUITES, run_suite
 
 METHODS = ("subset", "mobius", "delcon", "definition", "auto")
-_STRATEGY_FLAG = {"path": "path_per_block", "clique": "clique_per_block"}
+_STRATEGY_FLAG = {"path": PATH_PER_BLOCK, "clique": CLIQUE_PER_BLOCK}
 
 
 def _read_input(path: str) -> str:
@@ -79,11 +80,15 @@ def _print_element(value, as_json: bool) -> None:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     graph = parse_graph(_read_input(args.graph))
-    if args.method == "auto":
+    method = args.method
+    if method == "auto":
         # refuse before Y_G is built; the oracle routes may run beyond
         # NCSYM_MAX_N, where convert still refuses their results by this cap
         check_conversion_pairs(conversion_pairs(graph, args.basis), f"p -> {args.basis}")
-    value = chromatic_symmetric_function(graph, method=args.method)
+        if args.basis == "m":
+            # the coloring definition lists the m terms without going through p
+            method = "definition"
+    value = chromatic_symmetric_function(graph, method=method)
     value = convert(value, args.basis)
     _print_element(value, args.json)
     return 0
@@ -154,7 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    strategy = builtin_strategy(_STRATEGY_FLAG[args.strategy])
+    strategy = _STRATEGY_FLAG[args.strategy]
     if args.json:
         check_matrix_size(args.n)
     basis = build_basis(args.n, strategy)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -51,10 +52,6 @@ class LabeledGraph:
             adj[v] |= 1 << u
         self._adj = tuple(adj)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
             return False
@@ -69,9 +66,6 @@ class LabeledGraph:
         if not 1 <= v <= self.n:
             raise DomainError(f"vertex {v} outside [{self.n}]")
         return tuple(u for u in range(1, self.n + 1) if self._adj[v] >> u & 1)
-
-    def key(self) -> tuple:
-        return (self.n, self.edges)
 
     def _reach_mask(self, start: int, allowed: int) -> int:
         """Vertices reachable from start using only vertices in allowed."""
@@ -189,33 +183,18 @@ def is_clique_union(graph: LabeledGraph) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class ContractionLattice:
     """The connected partitions of a graph with Moebius values off the bottom.
 
     ``elements`` lists the partitions in a refinement-compatible order
-    (finer first); ``mobius0`` maps each element to the Moebius value of the
-    interval from the all-singletons partition, which is nonzero throughout.
+    (finer first); ``mobius0`` maps each element, in that order, to the
+    Moebius value of the interval from the all-singletons partition, which
+    is nonzero throughout.
     """
 
-    __slots__ = ("graph", "elements", "mobius0")
-
-    def __init__(self, graph: LabeledGraph, elements: tuple[SetPartition, ...],
-                 mobius0: dict[SetPartition, int]):
-        self.graph = graph
-        self.elements = elements
-        self.mobius0 = mobius0
-
-    def __contains__(self, pi: SetPartition) -> bool:
-        return pi in self.mobius0
-
-    def mobius(self, pi: SetPartition) -> int:
-        try:
-            return self.mobius0[pi]
-        except KeyError:
-            raise DomainError(f"{pi} is not a connected partition of the graph") from None
-
-    def __repr__(self) -> str:
-        return f"<ContractionLattice n={self.graph.n} size={len(self.elements)}>"
+    elements: tuple[SetPartition, ...]
+    mobius0: dict[SetPartition, int]
 
 
 def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
@@ -237,7 +216,7 @@ def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
         mobius0[pi] = -total
     if any(value == 0 for value in mobius0.values()):
         raise InvariantViolation("contraction lattice produced a zero Moebius value")
-    return ContractionLattice(graph, tuple(order), mobius0)
+    return ContractionLattice(tuple(order), mobius0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ncsym.graphs import LabeledGraph
 from ncsym.partitions import (
     SetPartition,
     enumerate_partitions,
-    iter_partitions,
     mobius_from_bottom,
     mobius_interval,
 )
@@ -235,7 +234,7 @@ def sym_monomial_expansion(f, k: int) -> dict:
 def partitions_of_labels(labels: tuple) -> tuple:
     """All partitions of an ascending label tuple, as tuples of blocks."""
     return tuple(tuple(tuple(labels[x - 1] for x in block) for block in pi.blocks)
-                 for pi in iter_partitions(len(labels)))
+                 for pi in enumerate_partitions(len(labels)))
 
 
 # Both enumerators build canonical blocks (ascending, ordered by least

@@ -13,7 +13,6 @@ from ncsym.chromatic_bases import (
     AtomicGeneratorStrategy,
     basis_graph,
     build_basis,
-    builtin_strategy,
     check_matrix_size,
     combine,
     express,
@@ -53,11 +52,6 @@ class TestGenerators:
         # atoms of 13/2/45 are 13/2 and 12; cliques live inside blocks
         g = basis_graph(CLIQUE_PER_BLOCK, parse_partition("1,3/2/4,5"))
         assert g.edges == ((1, 3), (4, 5))
-
-    def test_builtin_lookup(self):
-        assert builtin_strategy("path_per_block") is PATH_PER_BLOCK
-        with pytest.raises(DomainError):
-            builtin_strategy("stars")
 
     def test_custom_generator_table(self):
         alpha = parse_partition("1,3/2")

@@ -20,7 +20,7 @@ from ncsym.chromatic_bases import MAX_MATRIX_CELLS
 from ncsym.cli import main
 from ncsym.elements import MAX_CONVERSION_PAIRS
 from ncsym.errors import InvariantViolation
-from ncsym.graphs import MAX_VERTICES
+from ncsym.graphs import MAX_VERTICES, LabeledGraph, all_labeled_graphs, format_graph
 from ncsym.verification import SUITES
 
 
@@ -106,6 +106,17 @@ class TestExpand:
                                "--method", method)
         assert code == 0
         assert out.strip() == "m{1,3/2} + m{1/2/3}"
+
+    def test_default_route_into_m_matches_the_definition(self):
+        graphs = [g for n in range(5) for g in all_labeled_graphs(n)]
+        graphs.append(LabeledGraph(10, [(v, v + 1) for v in range(1, 10)]))
+        for graph in graphs:
+            text = format_graph(graph)
+            for mode in ([], ["--json"]):
+                argv = ["expand", "--graph", "-", "--basis", "m", *mode]
+                default = run_cli(*argv, stdin_text=text)
+                assert default[0] == 0
+                assert default == run_cli(*argv, "--method", "definition", stdin_text=text)
 
     def test_json_mode_validates(self, p3_file, schema):
         code, out, _ = run_cli("expand", "--graph", p3_file, "--basis", "x",
@@ -392,7 +403,7 @@ class TestConversionCap:
             f"e {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1)))
         return str(path)
 
-    @pytest.mark.parametrize("basis", ["e", "h", "x", "m"])
+    @pytest.mark.parametrize("basis", ["e", "h", "x"])
     def test_k12_is_refused_before_y_g_is_built(self, tmp_path, basis):
         path = self.clique(tmp_path, 12)
         start = time.perf_counter()
@@ -400,6 +411,20 @@ class TestConversionCap:
         assert time.perf_counter() - start < 2
         assert code == 3 and out == ""
         assert "2276423485" in err and str(MAX_CONVERSION_PAIRS) in err
+
+    def test_k12_into_m_reads_the_coloring_table(self, tmp_path):
+        path = self.clique(tmp_path, 12)
+        start = time.perf_counter()
+        code, out, _ = run_cli("expand", "--graph", path, "--basis", "m")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out == "m{1/2/3/4/5/6/7/8/9/10/11/12}\n"
+
+    def test_edgeless_twelve_into_m_is_refused(self, tmp_path):
+        path = tmp_path / "e12"
+        path.write_text("n 12\n")
+        code, out, err = run_cli("expand", "--graph", str(path), "--basis", "m")
+        assert code == 3 and out == ""
+        assert "4213597" in err and str(MAX_CONVERSION_PAIRS) in err
 
     # stdout digests recorded with the per-partition column conversion
     @pytest.mark.parametrize("basis,sha", [

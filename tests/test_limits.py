@@ -15,12 +15,12 @@ from ncsym.graphs import (
     contraction_lattice,
     random_graph,
 )
-from ncsym.partitions import iter_partitions
+from ncsym.partitions import enumerate_partitions
 
 PATH4 = LabeledGraph(4, [(1, 2), (2, 3), (3, 4)])
 
 GUARDED = {
-    "iter_partitions": lambda: iter_partitions(4),
+    "enumerate_partitions": lambda: enumerate_partitions(4),
     "all_labeled_graphs": lambda: next(all_labeled_graphs(4)),
     "all_labeled_trees": lambda: next(all_labeled_trees(4)),
     "random_graph": lambda: random_graph(4, 0.5, 1),
@@ -41,11 +41,11 @@ def test_entry_point_refuses_above_the_cap(name, monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: iter_partitions(-1),
+    lambda: enumerate_partitions(-1),
     lambda: next(all_labeled_graphs(-1)),
     lambda: next(all_labeled_trees(0)),
     lambda: random_graph(-1, 0.5, 1),
-], ids=["iter_partitions", "all_labeled_graphs", "all_labeled_trees", "random_graph"])
+], ids=["enumerate_partitions", "all_labeled_graphs", "all_labeled_trees", "random_graph"])
 def test_negative_size_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -1,0 +1,32 @@
+"""The repository's pytest configuration reports a failing hypothesis test as
+one failure and goes on with the run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+CONFIG = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+SAMPLE = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_run(tmp_path):
+    (tmp_path / "test_sample.py").write_text(SAMPLE)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(CONFIG), "-p", "no:cacheprovider",
+         "test_sample.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert result.returncode == 1
+    assert "1 failed, 1 passed" in result.stdout
