@@ -10,7 +10,6 @@ from .chromatic import (
     connected_mobius,
     csf_by_deletion_contraction,
     csf_from_colorings,
-    csf_from_connected_subsets,
     csf_from_contraction_lattice,
     csf_from_edge_subsets,
     k_deletion_sum,

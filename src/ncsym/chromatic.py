@@ -1,27 +1,29 @@
 """Chromatic symmetric functions in noncommuting variables.
 
-The default route ``auto`` is the exponential formula over connected vertex
-subsets: Y_G = sum over set partitions pi of prod_B c(B) p_pi, where c(S) is
-the bond-lattice Moebius value of the induced subgraph on S, tabulated for
-every vertex subset in O(3^n) time.  Four independent routes serve as its
-oracles and must agree with it:
+``chromatic_symmetric_function`` computes Y_G by the exponential formula over
+connected vertex subsets: Y_G = sum over set partitions pi of prod_B c(B)
+p_pi, where c(S) is the bond-lattice Moebius value of the induced subgraph on
+S, tabulated for every vertex subset in O(3^n) time.  Four independent routes
+serve as its oracles and must agree with it:
 
-* ``subset``     signed sum over edge subsets, indexed by the partition into
-                 connected components of each spanning subgraph;
-* ``mobius``     Moebius-weighted sum over the contraction lattice;
-* ``delcon``     deletion-contraction recursion on the original labels;
-* ``definition`` monomial expansion over proper-coloring patterns, i.e. the
-                 partitions all of whose blocks are independent sets.
+* ``csf_from_edge_subsets``: signed sum over edge subsets, indexed by the
+  partition into connected components of each spanning subgraph;
+* ``csf_from_contraction_lattice``: Moebius-weighted sum over the contraction
+  lattice;
+* ``csf_by_deletion_contraction``: deletion-contraction on the original labels;
+* ``csf_from_colorings``: monomial expansion over proper-coloring patterns,
+  i.e. the partitions all of whose blocks are independent sets.
 
-``definition`` is also the CLI's default route into m: its terms are the
-output, where the kernel would need a change of basis out of p.  ``verify
---suite agreement`` still checks it independently, converted into p.
+``csf_from_colorings`` is also the CLI's default route into m: its terms are
+the output, where the kernel would need a change of basis out of p.  ``verify
+--suite agreement`` still checks it independently, converted into p.  The
+CLI's ``--method`` flags name these functions.
 
-The kernel, ``definition`` and ``mobius`` all enumerate partitions through
-``partitions.weighted_partitions``, each with its own per-block table:
-connected Moebius values, independent sets, connected sets.  ``subset`` and
-``delcon`` enumerate no partitions, so a fault in that one enumerator still
-shows up as a disagreement.
+The kernel, ``csf_from_colorings`` and ``csf_from_contraction_lattice`` all
+enumerate partitions through ``partitions.weighted_partitions``, each with its
+own per-block table: connected Moebius values, independent sets, connected
+sets.  The other two routes enumerate no partitions, so a fault in that one
+enumerator still shows up as a disagreement.
 
 On top of these sit the classification reports (elementary-basis positivity,
 the global sign pattern in the x basis), the k-cycle deletion identity, the
@@ -156,7 +158,23 @@ def classical_csf(graph: LabeledGraph) -> SymElement:
 
 
 # ---------------------------------------------------------------------------
-# auto: the exponential formula over connected vertex subsets
+# the kernel: the exponential formula over connected vertex subsets
+
+
+def _independent_sets(graph: LabeledGraph) -> bytearray:
+    """The table over vertex bitmasks (bit x for vertex x) that is 1 exactly
+    on the independent sets; the kernel and the coloring definition read it."""
+    n = graph.n
+    check_ground_set(n, "coloring expansion")
+    adj = graph._adj
+    size = 1 << (n + 1)
+    indep = bytearray(size)
+    indep[0] = 1
+    for s in range(2, size, 2):
+        low = s & -s
+        rest = s ^ low
+        indep[s] = indep[rest] and not adj[low.bit_length() - 1] & rest
+    return indep
 
 
 def connected_mobius(graph: LabeledGraph) -> list[int]:
@@ -168,17 +186,11 @@ def connected_mobius(graph: LabeledGraph) -> list[int]:
     [S independent] = sum over min S in T <= S, S minus T independent, of
     c[T], which is solved for c[S] over masks in increasing order; O(3^n).
     """
-    n = graph.n
-    check_ground_set(n, "connected-subset kernel")
-    adj = graph._adj
-    size = 1 << (n + 1)
-    indep = bytearray(size)
-    indep[0] = 1
-    c = [0] * size
-    for s in range(2, size, 2):
-        low = s & -s
-        rest = s ^ low
-        indep[s] = indep[rest] and not adj[low.bit_length() - 1] & rest
+    check_ground_set(graph.n, "connected-subset kernel")
+    indep = _independent_sets(graph)
+    c = [0] * len(indep)
+    for s in range(2, len(indep), 2):
+        rest = s ^ (s & -s)
         total = indep[s]
         sub = rest
         while sub:
@@ -189,10 +201,13 @@ def connected_mobius(graph: LabeledGraph) -> list[int]:
     return c
 
 
-def csf_from_connected_subsets(graph: LabeledGraph) -> NCSymElement:
-    """Y_G = sum over set partitions pi of prod_B c[B] p_pi, with c from
+def chromatic_symmetric_function(graph: LabeledGraph) -> NCSymElement:
+    """The chromatic symmetric function Y_G of a labeled graph, in p.
+
+    Y_G = sum over set partitions pi of prod_B c[B] p_pi, with c from
     connected_mobius: mu(0, pi) in the bond lattice factors over the blocks
-    of pi."""
+    of pi.  Refuses graphs with more than NCSYM_MAX_N vertices.
+    """
     terms = weighted_partitions(graph.n, connected_mobius(graph))
     for pi, value in terms.items():
         terms[pi] = Fraction(value)
@@ -295,22 +310,6 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
 # route 4: the coloring definition
 
 
-def _independent_sets(graph: LabeledGraph) -> bytearray:
-    """The table over vertex bitmasks (bit x for vertex x) that is 1 exactly
-    on the independent sets, filled as connected_mobius fills its own."""
-    n = graph.n
-    check_ground_set(n, "coloring expansion")
-    adj = graph._adj
-    size = 1 << (n + 1)
-    indep = bytearray(size)
-    indep[0] = 1
-    for s in range(2, size, 2):
-        low = s & -s
-        rest = s ^ low
-        indep[s] = indep[rest] and not adj[low.bit_length() - 1] & rest
-    return indep
-
-
 def csf_from_colorings(graph: LabeledGraph) -> NCSymElement:
     """Monomial expansion: one m term per partition of the vertices into
     independent sets (the equality patterns of proper colorings)."""
@@ -318,32 +317,6 @@ def csf_from_colorings(graph: LabeledGraph) -> NCSymElement:
     for pi in terms:
         terms[pi] = Fraction(1)
     return NCSymElement._raw("m", graph.n, terms)
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-
-
-def chromatic_symmetric_function(graph: LabeledGraph,
-                                 method: str = "auto") -> NCSymElement:
-    """Compute the chromatic symmetric function of a labeled graph.
-
-    method 'auto' runs the connected-subset kernel, refusing graphs with more
-    than NCSYM_MAX_N vertices.  The oracle routes 'subset', 'mobius', 'delcon'
-    and 'definition' compute the same function independently; 'definition'
-    returns an m-basis element, all others return p-basis.
-    """
-    if method == "auto":
-        return csf_from_connected_subsets(graph)
-    if method == "subset":
-        return csf_from_edge_subsets(graph)
-    if method == "mobius":
-        return csf_from_contraction_lattice(graph)
-    if method == "delcon":
-        return csf_by_deletion_contraction(graph)
-    if method == "definition":
-        return csf_from_colorings(graph)
-    raise DomainError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ standard input.  Exit codes: 0 success, 1 verification failures, 2 parse or
 domain errors, 3 resource limits (a configured cap or budget, a size too
 large to index, or running out of memory or stack).  A failed internal
 invariant is a bug; it exits 1 with its message, like a failed verification.
+
+``expand --method`` names one route function of ``chromatic``; the default,
+auto, runs the kernel, or the coloring definition when the target basis is m.
 """
 
 from __future__ import annotations
@@ -14,12 +17,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .chromatic import (
     chromatic_symmetric_function,
     classify_e_positivity,
     conversion_pairs,
+    csf_by_deletion_contraction,
+    csf_from_colorings,
+    csf_from_contraction_lattice,
+    csf_from_edge_subsets,
     x_sign_report,
 )
 from .chromatic_bases import (
@@ -46,7 +53,11 @@ from .graphs import (
 )
 from .verification import SUITES, run_suite
 
-METHODS = ("subset", "mobius", "delcon", "definition", "auto")
+# the auto path calls its routes by name, so a tracer that rebinds module
+# attributes sees them; only the oracle flags go through this table
+_ROUTE_FLAG = {"subset": csf_from_edge_subsets, "mobius": csf_from_contraction_lattice,
+               "delcon": csf_by_deletion_contraction, "definition": csf_from_colorings}
+METHODS = (*_ROUTE_FLAG, "auto")
 _STRATEGY_FLAG = {"path": PATH_PER_BLOCK, "clique": CLIQUE_PER_BLOCK}
 
 
@@ -64,33 +75,37 @@ def _emit(payload: dict, as_json: bool, render) -> None:
         render(payload)
 
 
-def _print_element(value, as_json: bool) -> None:
+def _check_digits(coefficients: Iterable[Fraction]) -> None:
     # refuse before writing a byte: str() of an int fails past this limit
     limit = sys.get_int_max_str_digits()
     if limit:
         bound = 10 ** limit
-        for coeff in value.terms.values():
+        for coeff in coefficients:
             if abs(coeff.numerator) >= bound or coeff.denominator >= bound:
                 raise ResourceLimitError(
                     f"a coefficient has more than {limit} digits, the integer "
                     "string limit of this Python (PYTHONINTMAXSTRDIGITS)")
+
+
+def _print_element(value, as_json: bool) -> None:
+    _check_digits(value.terms.values())
     # text mode prints the element itself and never builds the JSON payload
     print(json.dumps(element_to_json_dict(value), indent=2, sort_keys=True) if as_json else value)
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     graph = parse_graph(_read_input(args.graph))
-    method = args.method
-    if method == "auto":
-        # refuse before Y_G is built; the oracle routes may run beyond
-        # NCSYM_MAX_N, where convert still refuses their results by this cap
+    if args.method != "auto":
+        # the oracle routes may run beyond NCSYM_MAX_N, where convert still
+        # refuses their results by the conversion-pair cap
+        value = _ROUTE_FLAG[args.method](graph)
+    else:
+        # refuse before Y_G is built
         check_conversion_pairs(conversion_pairs(graph, args.basis), f"p -> {args.basis}")
-        if args.basis == "m":
-            # the coloring definition lists the m terms without going through p
-            method = "definition"
-    value = chromatic_symmetric_function(graph, method=method)
-    value = convert(value, args.basis)
-    _print_element(value, args.json)
+        # the coloring definition lists the m terms without going through p
+        value = (csf_from_colorings(graph) if args.basis == "m"
+                 else chromatic_symmetric_function(graph))
+    _print_element(convert(value, args.basis), args.json)
     return 0
 
 
@@ -120,6 +135,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     graph = parse_graph(_read_input(args.graph))
     epos = classify_e_positivity(graph)
     xsign = x_sign_report(graph)
+    printed = [epos.top_coefficient]
+    if epos.negative_witness is not None:
+        printed.append(epos.negative_witness[1])
+    _check_digits(printed)
     payload = {"e_positivity": epos.to_json_dict(),
                "x_sign": xsign.to_json_dict()}
 

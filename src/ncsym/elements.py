@@ -489,22 +489,14 @@ def word_expansion(f: NCSymElement, k: int) -> dict[tuple[int, ...], Fraction]:
     """
     if k < 1:
         raise DomainError("word expansion needs at least one variable")
-    source = f if f.basis in ("m", "p", "e") else convert(f, "p")
+    rules = {"m": _monomial_words, "p": _power_sum_words, "e": _elementary_words}
+    source = f if f.basis in rules else convert(f, "p")
+    words = rules[source.basis]
     out: dict[tuple[int, ...], Fraction] = {}
     for pi, coeff in source._terms.items():
-        for word in _basis_term_words(source.basis, pi, k):
+        for word in words(pi, k):
             _accumulate(out, word, coeff)
     return out
-
-
-def _basis_term_words(basis: str, pi: SetPartition, k: int) -> Iterable[tuple[int, ...]]:
-    if basis == "p":
-        return _power_sum_words(pi, k)
-    if basis == "m":
-        return _monomial_words(pi, k)
-    if basis == "e":
-        return _elementary_words(pi, k)
-    raise DomainError(f"no direct word rule for basis {basis!r}")
 
 
 def _fill(pi: SetPartition, values) -> tuple[int, ...]:

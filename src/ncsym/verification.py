@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .chromatic import (
@@ -20,7 +21,6 @@ from .chromatic import (
     classify_e_positivity,
     csf_by_deletion_contraction,
     csf_from_colorings,
-    csf_from_connected_subsets,
     csf_from_contraction_lattice,
     csf_from_edge_subsets,
     k_deletion_sum,
@@ -102,15 +102,16 @@ def _graph_corpus(n: int, rng: Callable[[], random.Random]) -> Iterator[LabeledG
 # individual suites, each yielding one outcome per instance
 
 
-def _agreement(n: int, rng: Callable[[], random.Random]) -> Iterator[Optional[dict]]:
+def _per_graph(check: Callable[[LabeledGraph], Optional[dict]], n: int,
+               rng: Callable[[], random.Random]) -> Iterator[Optional[dict]]:
     for graph in _graph_corpus(n, rng):
-        yield _check_agreement(graph)
+        yield check(graph)
 
 
 def _check_agreement(graph: LabeledGraph) -> Optional[dict]:
     reference = csf_from_edge_subsets(graph)
     for label, other in (
-            ("connected subsets", csf_from_connected_subsets(graph)),
+            ("connected subsets", chromatic_symmetric_function(graph)),
             ("contraction lattice", csf_from_contraction_lattice(graph)),
             ("deletion-contraction", csf_by_deletion_contraction(graph)),
             ("coloring definition", convert(csf_from_colorings(graph), "p"))):
@@ -214,11 +215,6 @@ def _check_relabeling(graph: LabeledGraph, delta: Permutation) -> Optional[dict]
     return None
 
 
-def _epos(n: int, rng: Callable[[], random.Random]) -> Iterator[Optional[dict]]:
-    for graph in _graph_corpus(n, rng):
-        yield _check_epos(graph)
-
-
 def _check_epos(graph: LabeledGraph) -> Optional[dict]:
     report = classify_e_positivity(graph)
     expected_verdict = "e_positive" if is_clique_union(graph) else "mixed"
@@ -241,11 +237,6 @@ def _check_epos(graph: LabeledGraph) -> Optional[dict]:
             return _failure(f"{_graph_text(graph)} witness {pi.to_text()}",
                             str(coeff), str(extracted))
     return None
-
-
-def _xsign(n: int, rng: Callable[[], random.Random]) -> Iterator[Optional[dict]]:
-    for graph in _graph_corpus(n, rng):
-        yield _check_xsign(graph)
 
 
 def _check_xsign(graph: LabeledGraph) -> Optional[dict]:
@@ -316,14 +307,14 @@ def _check_combination(basis: ChromaticBasis, coords: dict[SetPartition, Fractio
 
 _SUITES: dict[str, Callable[[int, Callable[[], random.Random]],
                             Iterator[Optional[dict]]]] = {
-    "agreement": _agreement,
+    "agreement": partial(_per_graph, _check_agreement),
     "roundtrip": _roundtrip,
     "kdeletion": _kdeletion,
     "trees": _trees,
     "multiplicativity": _multiplicativity,
     "relabeling": _relabeling,
-    "epos-scan": _epos,
-    "xsign-scan": _xsign,
+    "epos-scan": partial(_per_graph, _check_epos),
+    "xsign-scan": partial(_per_graph, _check_xsign),
     "bases": _bases,
 }
 

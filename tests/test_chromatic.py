@@ -13,7 +13,6 @@ from ncsym.chromatic import (
     connected_mobius,
     csf_by_deletion_contraction,
     csf_from_colorings,
-    csf_from_connected_subsets,
     csf_from_contraction_lattice,
     csf_from_edge_subsets,
     k_deletion_sum,
@@ -182,34 +181,34 @@ class TestConnectedSubsetKernel:
     def test_same_terms_as_edge_subsets(self):
         for n in range(5):
             for g in all_labeled_graphs(n):
-                assert csf_from_connected_subsets(g)._terms == \
+                assert chromatic_symmetric_function(g)._terms == \
                     csf_from_edge_subsets(g)._terms
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_agrees_with_deletion_contraction_on_random_graphs(self, n):
         g = random_graph(n, 0.5, seed=n)
-        assert csf_from_connected_subsets(g) == csf_by_deletion_contraction(g)
+        assert chromatic_symmetric_function(g) == csf_by_deletion_contraction(g)
 
     def test_agrees_with_deletion_contraction_on_k9(self):
         k9 = complete_graph_union(SetPartition.single_block(9))
-        value = csf_from_connected_subsets(k9)
+        value = chromatic_symmetric_function(k9)
         assert len(value.terms) == 21147  # the Bell number B_9
         assert value == csf_by_deletion_contraction(k9)
 
     def test_empty_graph(self):
-        assert csf_from_connected_subsets(graph(0)) == \
+        assert chromatic_symmetric_function(graph(0)) == \
             basis_term("p", SetPartition.empty())
 
     def test_edgeless(self):
         for n in (1, 3, 5):
-            assert csf_from_connected_subsets(graph(n)) == \
+            assert chromatic_symmetric_function(graph(n)) == \
                 basis_term("p", SetPartition.singletons(n))
 
     def test_disconnected_is_the_slash_product(self):
         g = slash_union(P3, K2)
-        expected = multiply(csf_from_connected_subsets(P3),
-                            csf_from_connected_subsets(K2))
-        assert csf_from_connected_subsets(g) == expected
+        expected = multiply(chromatic_symmetric_function(P3),
+                            chromatic_symmetric_function(K2))
+        assert chromatic_symmetric_function(g) == expected
 
     def test_top_value_on_complete_graphs(self):
         for n in range(1, 9):
@@ -237,11 +236,7 @@ class TestMethodDispatch:
             assert csf_from_contraction_lattice(g) == reference
             assert csf_by_deletion_contraction(g) == reference
             assert convert(csf_from_colorings(g), "p") == reference
-            assert chromatic_symmetric_function(g, method="auto") == reference
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            chromatic_symmetric_function(K2, method="fastest")
+            assert chromatic_symmetric_function(g) == reference
 
 
 class TestClassical:
@@ -515,8 +510,7 @@ class TestLimits:
             connected_mobius(graph(4))
         # the oracle routes have limits of their own
         path = graph(4, (1, 2), (2, 3), (3, 4))
-        assert chromatic_symmetric_function(path, method="subset") == \
-            chromatic_symmetric_function(path, method="delcon")
+        assert csf_from_edge_subsets(path) == csf_by_deletion_contraction(path)
 
     def test_tree_expansion_respects_env(self, monkeypatch):
         monkeypatch.setenv("NCSYM_MAX_N", "3")

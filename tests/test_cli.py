@@ -146,6 +146,12 @@ class TestExpand:
         assert code == 2 and out == ""
         assert "can't decode byte 0xff" in err
 
+    def test_unknown_method_exits_2(self, p3_file):
+        code, out, err = run_cli("expand", "--graph", p3_file, "--basis", "p",
+                                 "--method", "fastest")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'fastest'" in err
+
     def test_resource_limit_exits_3(self, tmp_path):
         lines = ["n 9"]
         lines += [f"e {u} {v}" for u in range(1, 10) for v in range(u + 1, 10)]
@@ -284,6 +290,23 @@ class TestBigIntegers:
         code, out, _ = run_cli("convert", "--expr", expr, "--from", "p", "--to", "m", *mode)
         assert code == 0 and num in out
 
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_classify_coefficient_over_the_print_limit_exits_3(self, tmp_path, mode):
+        # 310 disjoint 6-vertex paths: the top e coefficient is 1/120^310,
+        # whose denominator has 645 digits
+        path = tmp_path / "paths"
+        path.write_text(format_graph(LabeledGraph(
+            1860, [(6 * k + i, 6 * k + i + 1) for k in range(310) for i in range(1, 6)])))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli("classify", "--graph", str(path), *mode)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 3 and out == ""
+        assert err == ("error: a coefficient has more than 640 digits, the integer "
+                       "string limit of this Python (PYTHONINTMAXSTRDIGITS)\n")
 
 class TestClassify:
     def test_path(self, p3_file, schema):

@@ -1,8 +1,10 @@
 """Byte-for-byte pins on CLI stdout.
 
 Each digest is the SHA-256 of the stdout of one JSON request, recorded
-before the set-partition enumeration moved into ``partitions``.  A change
-that only restructures code must leave every one of them as it is.
+before the set-partition enumeration moved into ``partitions``; the four
+``--method`` pins were recorded while ``chromatic_symmetric_function`` still
+took a route name.  A change that only restructures code must leave every one
+of them as it is.
 """
 
 import hashlib
@@ -47,6 +49,11 @@ DIGESTS = {
     "expand G6 e": "44a4c794edd05c71605529bd631a7e0a6b768331df2dd7124a337934d1992c55",
     "expand G6 h": "c434c61466a2938d3d3779f70407fec9a2de3a961f98ceb6188524bb3b15f923",
     "expand G6 x": "84a165df75d4f458c9cbfff20539836474761f8987355a65a28bc3ea21168cd7",
+    "expand G6 p subset": "7eebb42dd2d14658b2ae0b42f595074a4fd72aec82892252f6b85eceff97a918",
+    "expand G6 p mobius": "7eebb42dd2d14658b2ae0b42f595074a4fd72aec82892252f6b85eceff97a918",
+    "expand G6 p delcon": "7eebb42dd2d14658b2ae0b42f595074a4fd72aec82892252f6b85eceff97a918",
+    "expand G6 p definition":
+        "7eebb42dd2d14658b2ae0b42f595074a4fd72aec82892252f6b85eceff97a918",
     "classify G6": "163ff625dd6aa73036aed829666aceb51b28b1a34ee4580e00147dd71da955d7",
     "basis 4 path": "27091f10a08a550f0b068cf462009ce03e4cc3e03409ee4ea0d34696431fb081",
     "basis 4 clique": "ff6d16d788babe977a5bbe01cf6a1ad92a0da6f07acba5e134056d93fcd81a06",
@@ -83,6 +90,10 @@ def requests():
             yield (f"expand {name} {basis}",
                    ["expand", "--graph", "-", "--basis", basis, "--json"], format_graph(graph))
         yield f"classify {name}", ["classify", "--graph", "-", "--json"], format_graph(graph)
+    for method in ("subset", "mobius", "delcon", "definition"):
+        yield (f"expand G6 p {method}",
+               ["expand", "--graph", "-", "--basis", "p", "--json", "--method", method],
+               format_graph(GRAPHS["G6"]))
     for strategy in ("path", "clique"):
         yield (f"basis 4 {strategy}",
                ["basis", "--n", "4", "--strategy", strategy, "--json"], None)

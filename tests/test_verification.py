@@ -6,7 +6,6 @@ import pytest
 import ncsym.verification
 from ncsym.chromatic import (
     chromatic_symmetric_function,
-    csf_from_connected_subsets,
     tree_x_expansion,
 )
 from ncsym.cli import main
@@ -110,7 +109,7 @@ def test_xsign_scan_fails_on_a_wrong_sign(monkeypatch):
 
 
 def test_agreement_fails_on_a_wrong_kernel(monkeypatch, capsys):
-    monkeypatch.setattr(ncsym.verification, "csf_from_connected_subsets",
+    monkeypatch.setattr(ncsym.verification, "chromatic_symmetric_function",
                         lambda g: scale(chromatic_symmetric_function(g), -1))
     result = run_suite("agreement", 3)
     assert result.total == 8
@@ -134,8 +133,8 @@ def _uncertified(n, strategy):
 
 # case -> (suite, patched name, fault, n, seed); one injected fault per suite
 FAULTS = {
-    "agreement": ("agreement", "csf_from_connected_subsets",
-                  _negated(csf_from_connected_subsets), 3, None),
+    "agreement": ("agreement", "chromatic_symmetric_function",
+                  _negated(chromatic_symmetric_function), 3, None),
     "roundtrip": ("roundtrip", "convert", lambda f, b: scale(convert(f, b), 2), 3, None),
     "kdeletion": ("kdeletion", "k_deletion_sum", _finest_p, 4, None),
     "trees": ("trees", "tree_x_expansion", _negated(tree_x_expansion), 4, None),
