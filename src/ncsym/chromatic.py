@@ -23,7 +23,9 @@ The kernel, ``csf_from_colorings`` and ``csf_from_contraction_lattice`` all
 enumerate partitions through ``partitions.weighted_partitions``, each with its
 own per-block table: connected Moebius values, independent sets, connected
 sets.  The other two routes enumerate no partitions, so a fault in that one
-enumerator still shows up as a disagreement.
+enumerator still shows up as a disagreement.  The other routes hand block
+bitmasks with int counts to ``elements.from_block_masks``; the lattice route,
+whose keys are ``SetPartition`` already, does not, which checks that too.
 
 On top of these sit the classification reports (elementary-basis positivity,
 the global sign pattern in the x basis), the k-cycle deletion identity, the
@@ -50,9 +52,10 @@ from typing import Callable, Iterable, Optional
 from .elements import (
     NCSymElement,
     SymElement,
-    _accumulate,
     basis_term,
+    check_conversion_pairs,
     convert,
+    from_block_masks,
     scale,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
@@ -136,9 +139,7 @@ def csf_from_edge_subsets(graph: LabeledGraph) -> NCSymElement:
         counts[masks] = counts.get(masks, 0) + sign
 
     _walk_edge_subsets(graph, visit)
-    terms = {SetPartition._raw(graph.n, tuple(map(block_elements, masks))): Fraction(total)
-             for masks, total in counts.items() if total}
-    return NCSymElement._raw("p", graph.n, terms)
+    return from_block_masks("p", graph.n, counts.items())
 
 
 def classical_csf(graph: LabeledGraph) -> SymElement:
@@ -152,9 +153,8 @@ def classical_csf(graph: LabeledGraph) -> SymElement:
         counts[lam] = counts.get(lam, 0) + sign
 
     _walk_edge_subsets(graph, visit)
-    terms = {IntegerPartition(lam): Fraction(total)
-             for lam, total in counts.items() if total}
-    return SymElement._raw("p", graph.n, terms)
+    return SymElement("p", graph.n, ((IntegerPartition(lam), total)
+                                     for lam, total in counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +208,8 @@ def chromatic_symmetric_function(graph: LabeledGraph) -> NCSymElement:
     connected_mobius: mu(0, pi) in the bond lattice factors over the blocks
     of pi.  Refuses graphs with more than NCSYM_MAX_N vertices.
     """
-    terms = weighted_partitions(graph.n, connected_mobius(graph))
-    for pi, value in terms.items():
-        terms[pi] = Fraction(value)
-    return NCSymElement._raw("p", graph.n, terms)
+    return from_block_masks("p", graph.n,
+                            weighted_partitions(graph.n, connected_mobius(graph)).items())
 
 
 def conversion_pairs(graph: LabeledGraph, basis: str) -> int:
@@ -236,9 +234,7 @@ def conversion_pairs(graph: LabeledGraph, basis: str) -> int:
 
 def csf_from_contraction_lattice(graph: LabeledGraph) -> NCSymElement:
     """Moebius-weighted sum of power sums over the connected partitions."""
-    lattice = contraction_lattice(graph)
-    terms = {pi: Fraction(value) for pi, value in lattice.mobius0.items()}
-    return NCSymElement._raw("p", graph.n, terms)
+    return NCSymElement("p", graph.n, contraction_lattice(graph).mobius0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +297,7 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
         memo[key] = terms
         return terms
 
-    terms = {SetPartition._raw(n, tuple(map(block_elements, blocks))): Fraction(coeff)
-             for blocks, coeff in expand((1 << (n + 1)) - 2, graph).items()}
-    return NCSymElement._raw("p", n, terms)
+    return from_block_masks("p", n, expand((1 << (n + 1)) - 2, graph).items())
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +306,11 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
 
 def csf_from_colorings(graph: LabeledGraph) -> NCSymElement:
     """Monomial expansion: one m term per partition of the vertices into
-    independent sets (the equality patterns of proper colorings)."""
-    terms = weighted_partitions(graph.n, _independent_sets(graph))
-    for pi in terms:
-        terms[pi] = Fraction(1)
-    return NCSymElement._raw("m", graph.n, terms)
+    independent sets (the equality patterns of proper colorings).  Refuses,
+    before listing them, more than MAX_CONVERSION_PAIRS terms."""
+    check_conversion_pairs(conversion_pairs(graph, "m"), "into m")
+    return from_block_masks("m", graph.n,
+                            weighted_partitions(graph.n, _independent_sets(graph)).items())
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +347,12 @@ def k_deletion_sum(graph: LabeledGraph,
         raise DomainError("listed edges do not form a single cycle")
 
     removable = edges[:-1]
-    totals: dict[SetPartition, Fraction] = {}
+    total = NCSymElement.zero("p", graph.n)
     for mask_bits in range(1 << len(removable)):
         subset = [removable[i] for i in range(len(removable)) if mask_bits >> i & 1]
-        sign = -1 if len(subset) % 2 else 1
         value = chromatic_symmetric_function(delete_edges(graph, subset))
-        for pi, coeff in value._terms.items():
-            _accumulate(totals, pi, sign * coeff)
-    return NCSymElement._raw("p", graph.n, totals)
+        total = total - value if len(subset) % 2 else total + value
+    return total
 
 
 def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
@@ -386,13 +378,10 @@ def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
     everything = (1 << (n + 1)) - 2
     sides = [tree._reach_mask(v, everything ^ 1 << u) for u, v in tree.edges
              if u not in leaves and v not in leaves]
-    sign = Fraction(-1 if (n - 1) % 2 else 1)
-    terms = {}
-    for sigma in weighted_partitions(n, allowed):
-        masks = [sum(1 << x for x in block) for block in sigma.blocks]
-        if all(any(0 != m & side != m for m in masks) for side in sides):
-            terms[sigma] = sign
-    return NCSymElement._raw("x", n, terms)
+    sign = -1 if (n - 1) % 2 else 1
+    return from_block_masks("x", n, (
+        (masks, sign) for masks in weighted_partitions(n, allowed)
+        if all(any(0 != m & side != m for m in masks) for side in sides)))
 
 
 def matching_x_identity(pi: SetPartition) -> NCSymElement:

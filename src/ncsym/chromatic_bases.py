@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable
 
 from .chromatic import chromatic_symmetric_function
-from .elements import NCSymElement, _accumulate, convert
+from .elements import NCSymElement, convert
 from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .graphs import LabeledGraph, complete_graph_union, components_partition, slash_union
 from .partitions import (
@@ -143,12 +143,12 @@ def build_basis(n: int, strategy: AtomicGeneratorStrategy) -> ChromaticBasis:
     for pi in order:
         graph = basis_graph(strategy, pi)
         value = chromatic_symmetric_function(graph)
-        for sigma, coeff in value._terms.items():
+        for sigma in value.terms:
             if not sigma.refines(pi):
                 raise InvariantViolation(
                     f"p support of basis element at {pi.to_text()} leaks to "
                     f"{sigma.to_text()}")
-        if pi not in value._terms:
+        if pi not in value.terms:
             raise InvariantViolation(f"diagonal coefficient at {pi.to_text()} is 0")
         graphs.append(graph)
         elements.append(value)
@@ -167,7 +167,7 @@ def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fracti
         raise DomainError(
             f"element of degree {f.degree} cannot be expressed "
             f"in a degree-{basis.n} basis")
-    residue = dict(convert(f, "p")._terms)
+    residue = dict(convert(f, "p").terms)
     coords: dict[SetPartition, Fraction] = {}
     # coarsest first: fewest blocks, ties broken by canonical encoding
     for pi, element in sorted(zip(basis.order, basis.elements),
@@ -175,11 +175,11 @@ def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fracti
         value = residue.get(pi)
         if not value:
             continue
-        coeff = value / element._terms[pi]
+        coeff = value / element.terms[pi]
         coords[pi] = coeff
-        for sigma, c in element._terms.items():
-            _accumulate(residue, sigma, -coeff * c)
-    if residue:
+        for sigma, c in element.terms.items():
+            residue[sigma] = residue.get(sigma, 0) - coeff * c
+    if any(residue.values()):
         raise InvariantViolation("back-substitution left a nonzero residue")
     return coords
 
@@ -187,13 +187,9 @@ def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fracti
 def combine(basis: ChromaticBasis,
             coords: dict[SetPartition, Fraction]) -> NCSymElement:
     """Inverse of express: assemble the linear combination sum c_pi Y_{G_pi}."""
-    total: dict[SetPartition, Fraction] = {}
-    for pi, coeff in coords.items():
-        if not coeff:
-            continue
-        for sigma, c in basis.element_at(pi)._terms.items():
-            _accumulate(total, sigma, coeff * c)
-    return NCSymElement._raw("p", basis.n, total)
+    return NCSymElement("p", basis.n, (
+        (sigma, coeff * c) for pi, coeff in coords.items() if coeff
+        for sigma, c in basis.element_at(pi).terms.items()))
 
 
 def check_matrix_size(n: int) -> None:
@@ -213,7 +209,7 @@ def transition_matrix(basis: ChromaticBasis) -> list[list[Fraction]]:
     matrix = []
     for element in basis.elements:
         row = [Fraction(0)] * len(basis.order)
-        for sigma, coeff in element._terms.items():
+        for sigma, coeff in element.terms.items():
             row[basis.index_of(sigma)] = coeff
         matrix.append(row)
     return matrix

@@ -47,6 +47,7 @@ from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLi
 from .graphs import (
     components_partition,
     format_graph,
+    format_graph_line,
     is_clique_union,
     is_tree,
     parse_graph,
@@ -96,15 +97,17 @@ def _print_element(value, as_json: bool) -> None:
 def _cmd_expand(args: argparse.Namespace) -> int:
     graph = parse_graph(_read_input(args.graph))
     if args.method != "auto":
-        # the oracle routes may run beyond NCSYM_MAX_N, where convert still
+        # subset and delcon may run beyond NCSYM_MAX_N, where convert still
         # refuses their results by the conversion-pair cap
         value = _ROUTE_FLAG[args.method](graph)
+    elif args.basis == "m":
+        # the coloring definition lists the m terms without going through p,
+        # and counts them before it lists them
+        value = csf_from_colorings(graph)
     else:
         # refuse before Y_G is built
         check_conversion_pairs(conversion_pairs(graph, args.basis), f"p -> {args.basis}")
-        # the coloring definition lists the m terms without going through p
-        value = (csf_from_colorings(graph) if args.basis == "m"
-                 else chromatic_symmetric_function(graph))
+        value = chromatic_symmetric_function(graph)
     _print_element(convert(value, args.basis), args.json)
     return 0
 
@@ -192,7 +195,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         return 0
     print(f"chromatic basis n={basis.n} strategy={strategy.name}")
     for pi, graph in zip(basis.order, basis.graphs):
-        print(f"  {pi}: " + format_graph(graph).replace("\n", "; ").strip("; "))
+        print(f"  {pi}: {format_graph_line(graph)}")
     print("transition rows (basis element -> p coordinates):")
     for pi, element in zip(basis.order, basis.elements):
         cells = " ".join(f"{sigma}:{coeff}" for sigma, coeff in element.sorted_terms())

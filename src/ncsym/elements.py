@@ -21,10 +21,11 @@ the block of x.  The code of a partition is the sum of its blocks' codes, so
 it needs no sorting, and it is O(n log n) bits wide.  Coefficients are ints:
 the element is scaled by the lcm of its denominators, a step out of p into e
 or h also by (n - 1)!, which every |mu(0, pi)| divides, and each output
-coefficient is divided once.  ``SetPartition`` and ``Fraction`` objects are
-made only for the input and the output terms.  Conversions between m and p
-sum over coarsenings, the set partitions of a partition's k blocks; those
-between x, e or h and p over refinements, one set partition of each block.
+coefficient is divided once; ``from_block_masks`` makes the output terms from
+block masks and int counts, as it does for all Y_G routes but the lattice's.
+Conversions between m and p sum over coarsenings, the set partitions of a
+partition's k blocks; those between x, e or h and p over refinements, one set
+partition of each block.
 
 Both come from ``partitions.set_partitions``, which caches the set partitions
 of small masks; this module keeps no cache of its own.  A zero element
@@ -77,7 +78,8 @@ def clear_caches() -> None:
 
 
 def _accumulate(target: dict, key, delta: Fraction) -> None:
-    total = target.get(key, _ZERO) + delta
+    old = target.get(key)
+    total = delta if old is None else old + delta
     if total:
         target[key] = total
     else:
@@ -357,6 +359,18 @@ class NCSymElement:
         return " ".join(chunks)
 
 
+def from_block_masks(basis: str, n: int, pairs: Iterable[tuple[Iterable[int], int]],
+                     denominator: int = 1) -> NCSymElement:
+    """The element sum count / denominator * b_pi over pairs (masks, count),
+    pi given by its block bitmasks by increasing least element; the one place
+    that turns masks into ``SetPartition`` keys and counts into ``Fraction``."""
+    elements_of = _Memo(block_elements).__getitem__
+    value = Fraction if denominator == 1 else (lambda count: Fraction(count, denominator))
+    terms = {SetPartition._raw(n, tuple(map(elements_of, masks))): value(count)
+             for masks, count in pairs if count}
+    return NCSymElement._raw(basis, n, terms)
+
+
 def basis_term(basis: str, pi: SetPartition, coeff=1) -> NCSymElement:
     """The single-term element coeff * b_pi."""
     coeff = Fraction(coeff)
@@ -396,11 +410,8 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
         terms = _convert_codes(terms, "p", target, n)
         if target in ("e", "h") and n:
             denominator *= factorial(n - 1)
-    elements_of = _Memo(block_elements).__getitem__
-    out = {SetPartition._raw(n, tuple(map(elements_of, _block_masks(code, field, n)))):
-           Fraction(total, denominator)
-           for code, total in terms.items() if total}
-    return NCSymElement._raw(target, n, out)
+    return from_block_masks(target, n, ((_block_masks(code, field, n), total)
+                                        for code, total in terms.items()), denominator)
 
 
 def add(f: NCSymElement, g: NCSymElement) -> NCSymElement:

@@ -17,11 +17,15 @@ from .partitions import (
     SetPartition,
     block_elements,
     check_ground_set,
+    weighted_partition_sums,
     weighted_partitions,
 )
 
 # parse_graph refuses a larger 'n' header before anything is allocated
 MAX_VERTICES = 10_000
+# contraction_lattice refuses more connected partitions before listing them:
+# its Moebius recursion is quadratic in their number, and K_8 has 4,140
+MAX_LATTICE_ELEMENTS = 5_000
 
 
 class LabeledGraph:
@@ -199,12 +203,20 @@ class ContractionLattice:
 
 def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
     """Enumerate the connected partitions and compute bottom-up Moebius values
-    by the defining recursion over the enumerated poset."""
+    by the defining recursion over the enumerated poset.  Counts them first
+    and refuses more than MAX_LATTICE_ELEMENTS."""
     n = graph.n
     check_ground_set(n, "contraction lattice")
     connected = [graph.is_connected_subset(s) for s in range(1 << (n + 1))]
+    count = weighted_partition_sums(n, connected)[(1 << (n + 1)) - 2]
+    if count > MAX_LATTICE_ELEMENTS:
+        raise ResourceLimitError(
+            f"contraction lattice has {count} elements, "
+            f"over the cap of {MAX_LATTICE_ELEMENTS}")
+    blocks = {s: block_elements(s) for s in range(2, 1 << (n + 1), 2) if connected[s]}
     # finer partitions first: any strict refinement has strictly more blocks
-    order = sorted(weighted_partitions(n, connected),
+    order = sorted((SetPartition._raw(n, tuple(map(blocks.__getitem__, masks)))
+                    for masks in weighted_partitions(n, connected)),
                    key=lambda p: (-len(p.blocks), p.rgs))
     mobius0: dict[SetPartition, int] = {order[0]: 1}
     for i, pi in enumerate(order[1:], start=1):
@@ -376,3 +388,8 @@ def format_graph(graph: LabeledGraph) -> str:
     lines = [f"n {graph.n}"]
     lines.extend(f"e {u} {v}" for u, v in graph.edges)
     return "\n".join(lines) + "\n"
+
+
+def format_graph_line(graph: LabeledGraph) -> str:
+    """The text form of format_graph on one line, its lines joined by '; '."""
+    return format_graph(graph).replace("\n", "; ").strip("; ")

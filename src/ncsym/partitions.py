@@ -11,8 +11,9 @@ enumerators a block is a bitmask with bit x for element x, which
 ``block_elements`` turns back into a block.  ``set_partitions`` lists every
 set partition of a bitmask and ``enumerate_partitions`` those of [n], sorted
 by restricted growth string.  ``weighted_partitions`` keeps only those whose
-blocks all have nonzero weight, pruning as it goes: the 12-vertex path has
-2,048 connected partitions against B_12 = 4.2 million.
+blocks all have nonzero weight, as tuples of block bitmasks, pruning as it
+goes: the 12-vertex path has 2,048 connected partitions against B_12 = 4.2
+million.
 
 ``set_partitions`` caches its result only for masks of at most
 ``CACHED_BLOCK_SIZE`` = 6 bits: at ``NCSYM_MAX_N`` = 12 that is at most
@@ -352,23 +353,22 @@ def weighted_partition_sums(n: int, weight: Sequence[int]) -> list[int]:
     return total
 
 
-def weighted_partitions(n: int, weight: Sequence[int]) -> dict[SetPartition, int]:
-    """Every partition of [n] all of whose blocks have nonzero weight, mapped
-    to the product of its block weights.
+def weighted_partitions(n: int, weight: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Every partition of [n] all of whose blocks have nonzero weight, as its
+    tuple of block bitmasks, mapped to the product of its block weights.
 
     weight is indexed by block bitmask, bit x for element x, so it has
     2^(n+1) entries of which only the even masks are read.  Each block is
     chosen as a submask holding the least unplaced element, so blocks come out
-    canonical and each partition is reached once; the keys are in no
-    particular order.
+    least element first and each partition is reached once; the keys are in
+    no particular order.
     """
-    blocks = {s: block_elements(s) for s in range(2, 1 << (n + 1), 2) if weight[s]}
-    out: dict[SetPartition, int] = {}
-    chosen: list[tuple[int, ...]] = []
+    out: dict[tuple[int, ...], int] = {}
+    chosen: list[int] = []
 
     def place(remaining: int, coeff: int) -> None:
         if not remaining:
-            out[SetPartition._raw(n, tuple(chosen))] = coeff
+            out[tuple(chosen)] = coeff
             return
         low = remaining & -remaining
         rest = remaining ^ low
@@ -377,7 +377,7 @@ def weighted_partitions(n: int, weight: Sequence[int]) -> dict[SetPartition, int
             block = sub | low
             value = weight[block]
             if value:
-                chosen.append(blocks[block])
+                chosen.append(block)
                 place(remaining ^ block, coeff * value)
                 chosen.pop()
             if not sub:

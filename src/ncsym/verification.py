@@ -43,7 +43,7 @@ from .graphs import (
     all_labeled_graphs,
     all_labeled_trees,
     find_cycles,
-    format_graph,
+    format_graph_line,
     is_clique_union,
     random_graph,
     relabel,
@@ -81,10 +81,6 @@ class SuiteResult:
         }
 
 
-def _graph_text(graph: LabeledGraph) -> str:
-    return format_graph(graph).replace("\n", "; ").strip("; ")
-
-
 def _failure(instance: str, expected: str, actual: str) -> dict:
     return {"instance": instance, "expected": expected, "actual": actual}
 
@@ -116,7 +112,7 @@ def _check_agreement(graph: LabeledGraph) -> Optional[dict]:
             ("deletion-contraction", csf_by_deletion_contraction(graph)),
             ("coloring definition", convert(csf_from_colorings(graph), "p"))):
         if other != reference:
-            return _failure(f"{_graph_text(graph)} [{label}]",
+            return _failure(f"{format_graph_line(graph)} [{label}]",
                             str(reference), str(other))
     return None
 
@@ -146,7 +142,7 @@ def _check_kdeletion(graph: LabeledGraph, vertices, edges) -> Optional[dict]:
     value = k_deletion_sum(graph, edges)
     if not value.is_zero():
         return _failure(
-            f"{_graph_text(graph)} cycle {vertices}", "0", str(value))
+            f"{format_graph_line(graph)} cycle {vertices}", "0", str(value))
     return None
 
 
@@ -166,7 +162,7 @@ def _check_tree(tree: LabeledGraph) -> Optional[dict]:
     closed = tree_x_expansion(tree)
     computed = convert(chromatic_symmetric_function(tree), "x")
     if closed != computed:
-        return _failure(_graph_text(tree), str(closed), str(computed))
+        return _failure(format_graph_line(tree), str(closed), str(computed))
     return None
 
 
@@ -192,7 +188,7 @@ def _check_product(g: LabeledGraph, h: LabeledGraph) -> Optional[dict]:
     product = multiply(chromatic_symmetric_function(g),
                        chromatic_symmetric_function(h))
     if joined != product:
-        return _failure(f"{_graph_text(g)} || {_graph_text(h)}",
+        return _failure(f"{format_graph_line(g)} || {format_graph_line(h)}",
                         str(product), str(joined))
     return None
 
@@ -210,7 +206,7 @@ def _check_relabeling(graph: LabeledGraph, delta: Permutation) -> Optional[dict]
     moved = chromatic_symmetric_function(relabel(delta, graph))
     acted = act(delta, chromatic_symmetric_function(graph))
     if moved != acted:
-        return _failure(f"{_graph_text(graph)} via {delta.images}",
+        return _failure(f"{format_graph_line(graph)} via {delta.images}",
                         str(acted), str(moved))
     return None
 
@@ -219,22 +215,22 @@ def _check_epos(graph: LabeledGraph) -> Optional[dict]:
     report = classify_e_positivity(graph)
     expected_verdict = "e_positive" if is_clique_union(graph) else "mixed"
     if report.verdict != expected_verdict:
-        return _failure(_graph_text(graph), expected_verdict, report.verdict)
+        return _failure(format_graph_line(graph), expected_verdict, report.verdict)
     in_e = convert(chromatic_symmetric_function(graph), "e")
     values = list(in_e.terms.values())
     if report.verdict == "e_positive":
         if any(c < 0 for c in values):
-            return _failure(_graph_text(graph), "no negative e coefficients",
+            return _failure(format_graph_line(graph), "no negative e coefficients",
                             str(in_e))
     else:
         if not (any(c > 0 for c in values) and any(c < 0 for c in values)):
-            return _failure(_graph_text(graph),
+            return _failure(format_graph_line(graph),
                             "both positive and negative e coefficients",
                             str(in_e))
         pi, coeff = report.negative_witness
         extracted = in_e.terms.get(pi, Fraction(0))
         if coeff >= 0 or extracted != coeff:
-            return _failure(f"{_graph_text(graph)} witness {pi.to_text()}",
+            return _failure(f"{format_graph_line(graph)} witness {pi.to_text()}",
                             str(coeff), str(extracted))
     return None
 
@@ -243,7 +239,7 @@ def _check_xsign(graph: LabeledGraph) -> Optional[dict]:
     sign = x_sign_report(graph).sign
     in_x = convert(chromatic_symmetric_function(graph), "x")
     if any(sign * c < 0 for c in in_x.terms.values()):
-        return _failure(_graph_text(graph),
+        return _failure(format_graph_line(graph),
                         f"x coefficients of sign {sign}", str(in_x))
     return None
 

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import coloring_words, signed_subset_expansion
 from ncsym import chromatic
@@ -32,6 +35,7 @@ from ncsym.elements import (
 from ncsym.errors import DomainError, ResourceLimitError
 from ncsym.graphs import (
     LabeledGraph,
+    _tree_from_pruefer,
     all_labeled_graphs,
     all_labeled_trees,
     complete_graph_union,
@@ -237,6 +241,31 @@ class TestMethodDispatch:
             assert csf_by_deletion_contraction(g) == reference
             assert convert(csf_from_colorings(g), "p") == reference
             assert chromatic_symmetric_function(g) == reference
+
+
+ROUTES = (chromatic_symmetric_function, csf_from_edge_subsets, csf_from_contraction_lattice,
+          csf_by_deletion_contraction, csf_from_colorings)
+
+
+def assert_canonical_terms(element):
+    for pi, coeff in element.terms.items():
+        canonical = SetPartition(pi.n, pi.blocks)
+        assert pi == canonical and pi.blocks == canonical.blocks
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_routes_build_canonical_keys_and_nonzero_fractions(n, data):
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = LabeledGraph(n, edges)
+    for route in ROUTES:
+        assert_canonical_terms(route(g))
+    seq = data.draw(st.lists(st.integers(min_value=1, max_value=n),
+                             min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    tree = _tree_from_pruefer(tuple(seq), n) if n >= 2 else LabeledGraph(1)
+    assert_canonical_terms(tree_x_expansion(tree))
 
 
 class TestClassical:

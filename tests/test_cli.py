@@ -20,7 +20,13 @@ from ncsym.chromatic_bases import MAX_MATRIX_CELLS
 from ncsym.cli import main
 from ncsym.elements import MAX_CONVERSION_PAIRS
 from ncsym.errors import InvariantViolation
-from ncsym.graphs import MAX_VERTICES, LabeledGraph, all_labeled_graphs, format_graph
+from ncsym.graphs import (
+    MAX_LATTICE_ELEMENTS,
+    MAX_VERTICES,
+    LabeledGraph,
+    all_labeled_graphs,
+    format_graph,
+)
 from ncsym.verification import SUITES
 
 
@@ -469,6 +475,44 @@ class TestConversionCap:
         code, out, err = run_cli("convert", "--expr", str(path), "--from", "p", "--to", "h")
         assert code == 3 and out == ""
         assert "4213597" in err and str(MAX_CONVERSION_PAIRS) in err
+
+
+class TestOracleRouteLimits:
+    """--method mobius and --method definition refuse up front instead of
+    running for minutes past NCSYM_MAX_N's reach."""
+
+    def test_mobius_on_k9_is_refused(self, tmp_path):
+        path = TestConversionCap.clique(tmp_path, 9)
+        start = time.perf_counter()
+        code, out, err = run_cli("expand", "--graph", path, "--basis", "p",
+                                 "--method", "mobius")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        # K_9 has B_9 = 21,147 connected partitions
+        assert "21147" in err and str(MAX_LATTICE_ELEMENTS) in err
+
+    def test_definition_on_edgeless_twelve_is_refused(self, tmp_path):
+        path = tmp_path / "e12"
+        path.write_text("n 12\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("expand", "--graph", str(path), "--basis", "m",
+                                 "--method", "definition")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "4213597" in err and str(MAX_CONVERSION_PAIRS) in err
+
+    @pytest.mark.parametrize("n,edges", [
+        (8, [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]),
+        (12, [(i, i + 1) for i in range(1, 12)]),
+    ], ids=["k8", "path12"])
+    def test_mobius_runs_below_the_lattice_cap(self, tmp_path, n, edges):
+        # K_8 has 4,140 connected partitions, the 12-vertex path 2,048
+        path = tmp_path / "g"
+        path.write_text(format_graph(LabeledGraph(n, edges)))
+        _, expected, _ = run_cli("expand", "--graph", str(path), "--basis", "p")
+        code, out, _ = run_cli("expand", "--graph", str(path), "--basis", "p",
+                               "--method", "mobius")
+        assert code == 0 and out == expected
 
 
 class TestOutOfResources:

@@ -1,21 +1,32 @@
 """Every NCSYM_MAX_N refusal goes through partitions.check_ground_set."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import ncsym
-from ncsym.chromatic import connected_mobius, csf_from_colorings, tree_x_expansion
+from ncsym.chromatic import (
+    DELCON_BUDGET,
+    SUBSET_EDGE_LIMIT,
+    connected_mobius,
+    csf_from_colorings,
+    tree_x_expansion,
+)
+from ncsym.chromatic_bases import MAX_MATRIX_CELLS
+from ncsym.elements import MAX_CONVERSION_PAIRS
 from ncsym.errors import DomainError, ResourceLimitError
 from ncsym.graphs import (
+    MAX_LATTICE_ELEMENTS,
+    MAX_VERTICES,
     LabeledGraph,
     all_labeled_graphs,
     all_labeled_trees,
     contraction_lattice,
     random_graph,
 )
-from ncsym.partitions import enumerate_partitions
+from ncsym.partitions import DEFAULT_MAX_GROUND_SET, enumerate_partitions
 
 PATH4 = LabeledGraph(4, [(1, 2), (2, 3), (3, 4)])
 
@@ -63,3 +74,22 @@ def test_only_the_guard_reads_the_cap():
                         and node.func.id == "max_ground_set"):
                     callers.append(f"{path.name}:{func.name}")
     assert callers == ["partitions.py:check_ground_set"]
+
+
+SIZE_LIMITS = {
+    "MAX_CONVERSION_PAIRS": MAX_CONVERSION_PAIRS,
+    "MAX_MATRIX_CELLS": MAX_MATRIX_CELLS,
+    "MAX_VERTICES": MAX_VERTICES,
+    "DEFAULT_MAX_GROUND_SET": DEFAULT_MAX_GROUND_SET,
+    "SUBSET_EDGE_LIMIT": SUBSET_EDGE_LIMIT,
+    "DELCON_BUDGET": DELCON_BUDGET,
+    "MAX_LATTICE_ELEMENTS": MAX_LATTICE_ELEMENTS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_LIMITS))
+def test_readme_names_every_size_limit(name):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # README groups digits with commas: 2,000,000
+    value = re.escape(f"{SIZE_LIMITS[name]:,}")
+    assert re.search(rf"(?<![\d,]){value}(?![\d,])", readme), name

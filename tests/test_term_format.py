@@ -1,0 +1,49 @@
+"""Only ``elements`` knows how an element stores its terms: no other module
+reads ``_terms``, calls ``_raw`` on an element class or imports
+``_accumulate``."""
+
+import ast
+from pathlib import Path
+
+import ncsym
+
+MODULES = sorted(Path(ncsym.__file__).parent.glob("*.py"))
+ELEMENT_CLASSES = frozenset({"NCSymElement", "SymElement"})
+
+
+def term_format_uses(source: str) -> list[str]:
+    """'line: what' for each read of ._terms, call of an element class's
+    _raw and import of _accumulate."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_terms":
+            found.append(f"{node.lineno}: ._terms")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_raw" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ELEMENT_CLASSES):
+            found.append(f"{node.lineno}: {node.func.value.id}._raw")
+        elif (isinstance(node, ast.ImportFrom)
+                and any(alias.name == "_accumulate" for alias in node.names)):
+            found.append(f"{node.lineno}: import _accumulate")
+    return found
+
+
+def test_detector_flags_each_kind_of_use():
+    source = (
+        "from .elements import NCSymElement, SymElement, _accumulate\n"
+        "def route(value, pi):\n"
+        "    terms = dict(value._terms)\n"
+        "    _accumulate(terms, pi, 1)\n"
+        "    SymElement._raw('p', 0, {})\n"
+        "    return NCSymElement._raw('p', pi.n, terms)\n"
+        "def allowed(value, n):\n"
+        "    return SetPartition._raw(n, ()), value.terms\n"
+    )
+    assert sorted(term_format_uses(source)) == [
+        "1: import _accumulate", "3: ._terms", "5: SymElement._raw", "6: NCSymElement._raw"]
+
+
+def test_only_elements_knows_the_term_format():
+    found = {path.name: term_format_uses(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "elements.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
