@@ -3,8 +3,10 @@
 Each digest is the SHA-256 of the stdout of one JSON request, recorded
 before the set-partition enumeration moved into ``partitions``; the four
 ``--method`` pins were recorded while ``chromatic_symmetric_function`` still
-took a route name.  A change that only restructures code must leave every one
-of them as it is.
+took a route name.  ``LARGE_DIGESTS`` pin text and JSON outputs of more than
+100,000 terms, and ``basis --n 6``; they were recorded before elements stored
+integer partition codes.  A change that only restructures code must leave
+every one of them as it is.
 """
 
 import hashlib
@@ -15,7 +17,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from ncsym.cli import main
-from ncsym.graphs import LabeledGraph, format_graph, random_graph
+from ncsym.graphs import LabeledGraph, complete_graph_union, format_graph, random_graph
+from ncsym.partitions import SetPartition
 from ncsym.verification import SUITES
 
 GRAPHS = {
@@ -108,3 +111,38 @@ REQUESTS = list(requests())
 @pytest.mark.parametrize("key,argv,stdin_text", REQUESTS, ids=[r[0] for r in REQUESTS])
 def test_stdout_is_pinned(key, argv, stdin_text):
     assert stdout_digest(argv, stdin_text) == DIGESTS[key]
+
+
+LARGE_DIGESTS = {
+    "expand K10 p": "08c7858ef6a1e6f0ea35bc10100b48c9cf1f4dda5b5110e775f6d2a61930795f",
+    "expand K10 p --json": "3dbf63e403c2c56e7cfa5c7aa3a499cee52687d7296075c0f57c14ff2103803c",
+    "expand P10 e": "039a7f57b7b2721b116dc64a252d01f847131fd14d6167d5c614fd5e384a58d3",
+    "expand P10 e --json": "1a37c9d68e3a8d2588753dff52df0ba340bb3f986cc6913b96a0cdc5b76d5c7b",
+    "basis 6 path": "c2ea6458c8a1d6fbb9b73354544685c4fb89763fcdbcdbb1eeb7fec4f43e8865",
+    "basis 6 path --json": "e96535a9d5d35ce4fd17e89ffdafe155b6c66487962e46b3873169f80c3e5b72",
+    "basis 6 clique": "9fdde90779489e02bb0534243af4b8a2ccfc58b186e3faebd2cd35e6244148de",
+    "basis 6 clique --json": "eb738b179329ee1304c6a4605f643a824d6b6c2c6d381d42f2f9af27c64985bc",
+}
+
+
+def large_requests():
+    # K_10 in p has B_10 = 115,975 terms, the 10-vertex path in e 115,974
+    k10 = complete_graph_union(SetPartition.single_block(10))
+    path10 = LabeledGraph(10, [(i, i + 1) for i in range(1, 10)])
+    for flags in ([], ["--json"]):
+        suffix = "".join(f" {flag}" for flag in flags)
+        yield (f"expand K10 p{suffix}",
+               ["expand", "--graph", "-", "--basis", "p", *flags], format_graph(k10))
+        yield (f"expand P10 e{suffix}",
+               ["expand", "--graph", "-", "--basis", "e", *flags], format_graph(path10))
+        for strategy in ("path", "clique"):
+            yield (f"basis 6 {strategy}{suffix}",
+                   ["basis", "--n", "6", "--strategy", strategy, *flags], None)
+
+
+LARGE_REQUESTS = list(large_requests())
+
+
+@pytest.mark.parametrize("key,argv,stdin_text", LARGE_REQUESTS, ids=[r[0] for r in LARGE_REQUESTS])
+def test_large_stdout_is_pinned(key, argv, stdin_text):
+    assert stdout_digest(argv, stdin_text) == LARGE_DIGESTS[key]
