@@ -39,9 +39,11 @@ from .chromatic_bases import (
 from .elements import (
     BASES,
     check_conversion_pairs,
+    coefficient_bounds,
     convert,
     element_from_json_dict,
-    element_to_json_dict,
+    iter_json,
+    iter_text,
 )
 from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLimitError
 from .graphs import (
@@ -76,22 +78,20 @@ def _emit(payload: dict, as_json: bool, render) -> None:
         render(payload)
 
 
-def _check_digits(coefficients: Iterable[Fraction]) -> None:
+def _check_digits(numbers: Iterable[int]) -> None:
     # refuse before writing a byte: str() of an int fails past this limit
     limit = sys.get_int_max_str_digits()
-    if limit:
-        bound = 10 ** limit
-        for coeff in coefficients:
-            if abs(coeff.numerator) >= bound or coeff.denominator >= bound:
-                raise ResourceLimitError(
-                    f"a coefficient has more than {limit} digits, the integer "
-                    "string limit of this Python (PYTHONINTMAXSTRDIGITS)")
+    if limit and max(map(abs, numbers), default=0) >= 10 ** limit:
+        raise ResourceLimitError(
+            f"a coefficient has more than {limit} digits, the integer "
+            "string limit of this Python (PYTHONINTMAXSTRDIGITS)")
 
 
 def _print_element(value, as_json: bool) -> None:
-    _check_digits(value.terms.values())
-    # text mode prints the element itself and never builds the JSON payload
-    print(json.dumps(element_to_json_dict(value), indent=2, sort_keys=True) if as_json else value)
+    _check_digits(coefficient_bounds(value))
+    # one term at a time from the sorted codes: no payload or whole string
+    sys.stdout.writelines(iter_json(value) if as_json else iter_text(value))
+    sys.stdout.write("\n")
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
@@ -141,7 +141,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     printed = [epos.top_coefficient]
     if epos.negative_witness is not None:
         printed.append(epos.negative_witness[1])
-    _check_digits(printed)
+    _check_digits(part for coeff in printed for part in (coeff.numerator, coeff.denominator))
     payload = {"e_positivity": epos.to_json_dict(),
                "x_sign": xsign.to_json_dict()}
 

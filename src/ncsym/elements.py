@@ -45,9 +45,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
@@ -87,7 +87,77 @@ def _accumulate(target: dict, key, delta: Fraction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# change of basis against the power-sum basis, on integer codes
+# partition codes
+
+
+def _least(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _spread(mask: int, n: int) -> int:
+    """One in the field of every element of mask, in the codes of degree n."""
+    field = n.bit_length()
+    return sum(1 << field * (n - x) for x in block_elements(mask))
+
+
+def _block_code(mask: int, n: int) -> int:
+    """A block's share of the code of any partition of [n] that holds it."""
+    return _least(mask) * _spread(mask, n)
+
+
+def _encode(pi: SetPartition) -> int:
+    n = pi.n
+    field = n.bit_length()
+    return sum(block[0] * sum(1 << field * (n - x) for x in block) for block in pi.blocks)
+
+
+def _fields(n: int) -> list[tuple[int, int]]:
+    """(x, shift) for x = 1..n: element x's field is code >> shift & ones."""
+    field = n.bit_length()
+    return [(x, field * (n - x)) for x in range(1, n + 1)]
+
+
+def _block_masks(code: int, n: int) -> list[int]:
+    """The block bitmasks of a partition code, by increasing least element."""
+    ones = (1 << n.bit_length()) - 1
+    masks: dict[int, int] = {}
+    for x, shift in _fields(n):
+        least = code >> shift & ones
+        masks[least] = masks.get(least, 0) | 1 << x
+    return list(masks.values())
+
+
+def _decoder(n: int, labels):
+    """A function from a partition code of [n] to its blocks by increasing
+    least element, each the list of labels[x] for its elements x."""
+    ones = (1 << n.bit_length()) - 1
+    fields = [(x, shift, labels[x]) for x, shift in _fields(n)]
+
+    def blocks(code: int):
+        out: dict[int, list] = {}
+        for x, shift, label in fields:
+            least = code >> shift & ones
+            if least == x:
+                out[x] = [label]
+            else:
+                out[least].append(label)
+        return out.values()
+
+    return blocks
+
+
+def _widen(code: int, k: int, n: int) -> int:
+    """A code of k fields of k.bit_length() bits, rewritten with the fields
+    of degree n >= k."""
+    old, new = k.bit_length(), n.bit_length()
+    if old == new:
+        return code
+    ones = (1 << old) - 1
+    return sum((code >> old * i & ones) << new * i for i in range(k))
+
+
+# ---------------------------------------------------------------------------
+# change of basis against the power-sum basis, on codes
 
 
 def check_conversion_pairs(pairs: int, what: str) -> None:
@@ -118,30 +188,11 @@ class _Memo(dict):
         return value
 
 
-def _least(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _spread(mask: int, field: int) -> int:
-    """One in the field of every element of mask."""
-    return sum(1 << field * x for x in block_elements(mask))
-
-
-def _block_masks(code: int, field: int, n: int) -> list[int]:
-    """The block bitmasks of a partition code, by increasing least element."""
-    ones = (1 << field) - 1
-    masks: dict[int, int] = {}
-    for x in range(1, n + 1):
-        least = code >> field * x & ones
-        masks[least] = masks.get(least, 0) | 1 << x
-    return list(masks.values())
-
-
-def _refine(support: list, field: int, weight, factor=None) -> dict[int, int]:
+def _refine(support: list, n: int, weight, factor=None) -> dict[int, int]:
     """Sum coeff * factor(masks) * prod_B weight(parts of B) over every
     refinement of every support partition; a refinement is one set partition
     of each block, so per block mask its choices are listed once."""
-    code_of = _Memo(lambda mask: _least(mask) * _spread(mask, field)).__getitem__
+    code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
     choices_of: dict[int, list[tuple[int, int]]] = {}
     out: dict[int, int] = {}
     for masks, coeff in support:
@@ -169,12 +220,12 @@ def _refine(support: list, field: int, weight, factor=None) -> dict[int, int]:
     return out
 
 
-def _coarsen(support: list, field: int, mu: list[int] | None) -> dict[int, int]:
+def _coarsen(support: list, n: int, mu: list[int] | None) -> dict[int, int]:
     """Sum coeff * weight over every coarsening of every support partition:
     a grouping of its k blocks, i.e. a set partition of range(k), weighted by
     prod_groups mu[size] when mu is given, else by 1."""
     groupings: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    spread_of = _Memo(lambda mask: _spread(mask, field)).__getitem__
+    spread_of = _Memo(lambda mask: _spread(mask, n)).__getitem__
     out: dict[int, int] = {}
     for masks, coeff in support:
         k = len(masks)
@@ -212,8 +263,7 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
     product of mu[j] = (-1)^(j-1) (j-1)!.
     """
     basis = target if source == "p" else source
-    field = n.bit_length()
-    support = [(_block_masks(code, field, n), coeff) for code, coeff in terms.items() if coeff]
+    support = [(_block_masks(code, n), coeff) for code, coeff in terms.items() if coeff]
     if basis == "m":
         pairs = sum(_bell(len(masks)) for masks, _ in support)
         largest = max((len(masks) for masks, _ in support), default=0)
@@ -226,11 +276,11 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
     for j in range(1, largest):
         mu.append(-j * mu[-1])
     if basis == "m":
-        return _coarsen(support, field, mu if source == "m" else None)
+        return _coarsen(support, n, mu if source == "m" else None)
     if target == "x":
-        return _refine(support, field, lambda parts: 1)
+        return _refine(support, n, lambda parts: 1)
     if source == "x":
-        return _refine(support, field, lambda parts: mu[len(parts)])
+        return _refine(support, n, lambda parts: mu[len(parts)])
     sign = abs if "h" in (source, target) else (lambda value: value)
 
     def bottom(blocks: Iterable[int]) -> int:
@@ -239,9 +289,9 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
 
     if source == "p":
         top = factorial(n - 1) if n else 1
-        return _refine(support, field, lambda parts: mu[len(parts)],
+        return _refine(support, n, lambda parts: mu[len(parts)],
                        lambda masks: top // bottom(masks))
-    return _refine(support, field, bottom)
+    return _refine(support, n, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +301,14 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
 class NCSymElement:
     """A finite linear combination of one basis, with exact coefficients.
 
-    Equality across bases converts both sides to p first; within one basis
-    the stored term dictionaries are compared directly (basis expansions are
-    unique).  Zero elements remember their degree.
+    The coefficient of b_pi is _terms[code of pi] / _den.  Equality across
+    bases converts both sides to p first; within one basis the stored codes,
+    counts and denominators are compared directly (basis expansions are
+    unique, and the storage is canonical).  Zero elements remember their
+    degree.
     """
 
-    __slots__ = ("basis", "degree", "_terms")
+    __slots__ = ("basis", "degree", "_terms", "_den", "_view")
 
     def __init__(self, basis: str, degree: int,
                  terms: Mapping[SetPartition, object] | Iterable[tuple[SetPartition, object]]):
@@ -265,25 +317,33 @@ class NCSymElement:
         if degree < 0:
             raise DomainError("degree must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[SetPartition, Fraction] = {}
+        values: dict[int, Fraction] = {}
         for pi, coeff in items:
             if not isinstance(pi, SetPartition):
                 raise DomainError(f"term index {pi!r} is not a set partition")
             if pi.n != degree:
                 raise DomainError(
                     f"index {pi} lives on [{pi.n}] but the element has degree {degree}")
-            _accumulate(cleaned, pi, Fraction(coeff))
+            _accumulate(values, _encode(pi), Fraction(coeff))
+        # over the lcm of reduced fractions the counts share no factor with it
+        den = lcm(*(value.denominator for value in values.values()))
         self.basis = basis
         self.degree = degree
-        self._terms = cleaned
+        self._terms = {code: value.numerator * (den // value.denominator)
+                       for code, value in values.items()}
+        self._den = den
+        self._view = None
 
     @classmethod
-    def _raw(cls, basis: str, degree: int,
-             terms: dict[SetPartition, Fraction]) -> "NCSymElement":
+    def _raw(cls, basis: str, degree: int, terms: dict[int, int],
+             den: int = 1) -> "NCSymElement":
+        """Wrap canonical storage: nonzero counts, gcd(den, *counts) == 1."""
         self = object.__new__(cls)
         self.basis = basis
         self.degree = degree
         self._terms = terms
+        self._den = den
+        self._view = None
         return self
 
     @classmethod
@@ -294,14 +354,23 @@ class NCSymElement:
 
     @property
     def terms(self) -> Mapping[SetPartition, Fraction]:
-        return MappingProxyType(self._terms)
+        """Coefficients by partition in canonical order, built on first use."""
+        if self._view is None:
+            n, den = self.degree, self._den
+            blocks = _decoder(n, range(n + 1))
+            # Fraction of one int skips the gcd
+            value = Fraction if den == 1 else (lambda count: Fraction(count, den))
+            self._view = MappingProxyType({
+                SetPartition._raw(n, tuple(map(tuple, blocks(code)))): value(self._terms[code])
+                for code in sorted(self._terms)})
+        return self._view
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def sorted_terms(self) -> list[tuple[SetPartition, Fraction]]:
         """Terms ordered by the canonical partition encoding."""
-        return sorted(self._terms.items(), key=lambda item: item[0].rgs)
+        return list(self.terms.items())
 
     # operators delegate to the module functions
 
@@ -335,40 +404,39 @@ class NCSymElement:
             return NotImplemented
         if self.degree != other.degree:
             return False
-        if self.basis == other.basis:
-            return self._terms == other._terms
-        return convert(self, "p")._terms == convert(other, "p")._terms
+        if self.basis != other.basis:
+            self, other = convert(self, "p"), convert(other, "p")
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         canonical = convert(self, "p")
-        return hash((self.degree, frozenset(canonical._terms.items())))
+        return hash((self.degree, canonical._den, frozenset(canonical._terms.items())))
 
     def __repr__(self) -> str:
         return f"<NCSymElement {self}>"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for pi, coeff in self.sorted_terms():
-            lead = "-" if coeff < 0 else ("+" if chunks else "")
-            value = abs(coeff)
-            body = f"{self.basis}{{{pi.to_text()}}}"
-            piece = body if value == 1 else f"{value}*{body}"
-            chunks.append(f"{lead}{piece}" if not chunks else f"{lead} {piece}")
-        return " ".join(chunks)
+        return "".join(iter_text(self))
+
+
+def _element(basis: str, degree: int, terms: dict[int, int], den: int = 1) -> NCSymElement:
+    """The element sum count / den * b_code over nonzero counts, reduced."""
+    if den != 1:
+        common = gcd(den, *terms.values())
+        if common != 1:
+            terms = {code: count // common for code, count in terms.items()}
+            den //= common
+    return NCSymElement._raw(basis, degree, terms, den)
 
 
 def from_block_masks(basis: str, n: int, pairs: Iterable[tuple[Iterable[int], int]],
                      denominator: int = 1) -> NCSymElement:
-    """The element sum count / denominator * b_pi over pairs (masks, count),
-    pi given by its block bitmasks by increasing least element; the one place
-    that turns masks into ``SetPartition`` keys and counts into ``Fraction``."""
-    elements_of = _Memo(block_elements).__getitem__
-    value = Fraction if denominator == 1 else (lambda count: Fraction(count, denominator))
-    terms = {SetPartition._raw(n, tuple(map(elements_of, masks))): value(count)
-             for masks, count in pairs if count}
-    return NCSymElement._raw(basis, n, terms)
+    """The element sum count / denominator * b_pi over pairs (masks, count)
+    of distinct partitions, pi given by its block bitmasks; each mask's code
+    is computed once per call."""
+    code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
+    return _element(basis, n, {sum(map(code_of, masks)): count
+                               for masks, count in pairs if count}, denominator)
 
 
 def basis_term(basis: str, pi: SetPartition, coeff=1) -> NCSymElement:
@@ -378,7 +446,7 @@ def basis_term(basis: str, pi: SetPartition, coeff=1) -> NCSymElement:
         raise DomainError(f"unknown basis {basis!r}")
     if coeff == 0:
         return NCSymElement.zero(basis, pi.n)
-    return NCSymElement._raw(basis, pi.n, {pi: coeff})
+    return NCSymElement._raw(basis, pi.n, {_encode(pi): coeff.numerator}, coeff.denominator)
 
 
 def one(basis: str = "p") -> NCSymElement:
@@ -397,21 +465,16 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
     if f.basis == target:
         return f
     n = f.degree
-    if not f._terms:
+    terms, den = f._terms, f._den
+    if not terms:
         return NCSymElement.zero(target, n)
-    field = n.bit_length()
-    denominator = lcm(*(coeff.denominator for coeff in f._terms.values()))
-    terms = {sum(block[0] * sum(1 << field * x for x in block) for block in pi.blocks):
-             coeff.numerator * (denominator // coeff.denominator)
-             for pi, coeff in f._terms.items()}
     if f.basis != "p":
         terms = _convert_codes(terms, f.basis, "p", n)
     if target != "p":
         terms = _convert_codes(terms, "p", target, n)
         if target in ("e", "h") and n:
-            denominator *= factorial(n - 1)
-    return from_block_masks(target, n, ((_block_masks(code, field, n), total)
-                                        for code, total in terms.items()), denominator)
+            den *= factorial(n - 1)
+    return _element(target, n, {code: count for code, count in terms.items() if count}, den)
 
 
 def add(f: NCSymElement, g: NCSymElement) -> NCSymElement:
@@ -426,29 +489,37 @@ def add(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     if f.basis != g.basis:
         f = convert(f, "p")
         g = convert(g, "p")
-    terms = dict(f._terms)
-    for pi, coeff in g._terms.items():
-        _accumulate(terms, pi, coeff)
-    return NCSymElement._raw(f.basis, f.degree, terms)
+    den = lcm(f._den, g._den)
+    left, right = den // f._den, den // g._den
+    terms = {code: count * left for code, count in f._terms.items()}
+    for code, count in g._terms.items():
+        _accumulate(terms, code, count * right)
+    return _element(f.basis, f.degree, terms, den)
 
 
 def scale(f: NCSymElement, factor) -> NCSymElement:
     factor = Fraction(factor)
     if factor == 0:
         return NCSymElement.zero(f.basis, f.degree)
-    return NCSymElement._raw(f.basis, f.degree,
-                             {pi: coeff * factor for pi, coeff in f._terms.items()})
+    num = factor.numerator
+    return _element(f.basis, f.degree, {code: count * num for code, count in f._terms.items()},
+                    f._den * factor.denominator)
 
 
 def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     """Product in NCSym; on the p-basis indices concatenate by slash."""
     fp = convert(f, "p")
     gp = convert(g, "p")
-    terms: dict[SetPartition, Fraction] = {}
-    for pi, a in fp._terms.items():
-        for sigma, b in gp._terms.items():
-            _accumulate(terms, pi.slash(sigma), a * b)
-    return NCSymElement._raw("p", f.degree + g.degree, terms)
+    k, m = f.degree, g.degree
+    n = k + m
+    field = n.bit_length()
+    # the slash puts f's fields above g's, whose least elements move up by k;
+    # distinct pairs give distinct codes
+    lift = k * sum(1 << field * i for i in range(m))
+    right = [(_widen(code, m, n) + lift, b) for code, b in gp._terms.items()]
+    return _element("p", n, {(_widen(code, k, n) << field * m) + low: a * b
+                             for code, a in fp._terms.items() for low, b in right},
+                    fp._den * gp._den)
 
 
 def induce(f: NCSymElement) -> NCSymElement:
@@ -457,9 +528,13 @@ def induce(f: NCSymElement) -> NCSymElement:
     if f.degree < 1:
         raise DomainError("induction requires degree at least 1")
     fp = convert(f, "p")
-    return NCSymElement._raw(
-        "p", f.degree + 1,
-        {pi.adjoin_top(): coeff for pi, coeff in fp._terms.items()})
+    n = f.degree
+    # the last field holds the least element of the block of n
+    ones = (1 << n.bit_length()) - 1
+    field = (n + 1).bit_length()
+    return NCSymElement._raw("p", n + 1, {
+        (_widen(code, n, n + 1) << field) + (code & ones): count
+        for code, count in fp._terms.items()}, fp._den)
 
 
 def act(delta: Permutation, f: NCSymElement) -> NCSymElement:
@@ -467,25 +542,29 @@ def act(delta: Permutation, f: NCSymElement) -> NCSymElement:
     if delta.n != f.degree:
         raise DomainError("permutation size must equal the element degree")
     fp = convert(f, "p")
-    moved = {pi.permuted(delta): coeff for pi, coeff in fp._terms.items()}
-    return convert(NCSymElement._raw("p", f.degree, moved), f.basis)
+    images = delta.images
+    moved = _Memo(lambda mask: sum(1 << images[x - 1] for x in block_elements(mask))).__getitem__
+    return convert(from_block_masks(
+        "p", f.degree, ((map(moved, _block_masks(code, f.degree)), count)
+                        for code, count in fp._terms.items()), fp._den), f.basis)
 
 
 def coefficient(f: NCSymElement, basis: str, pi: SetPartition) -> Fraction:
     """The coefficient of b_pi once f is written in the given basis."""
     if pi.n != f.degree:
         return _ZERO
-    return convert(f, basis)._terms.get(pi, _ZERO)
+    g = convert(f, basis)
+    return Fraction(g._terms.get(_encode(pi), 0), g._den)
 
 
 def is_positive_in(f: NCSymElement, basis: str) -> bool:
     """All coefficients nonnegative in the given basis (vacuously for 0)."""
-    return all(coeff >= 0 for coeff in convert(f, basis)._terms.values())
+    return all(count >= 0 for count in convert(f, basis)._terms.values())
 
 
 def is_negative_in(f: NCSymElement, basis: str) -> bool:
     """All coefficients nonpositive in the given basis (vacuously for 0)."""
-    return all(coeff <= 0 for coeff in convert(f, basis)._terms.values())
+    return all(count <= 0 for count in convert(f, basis)._terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +583,7 @@ def word_expansion(f: NCSymElement, k: int) -> dict[tuple[int, ...], Fraction]:
     source = f if f.basis in rules else convert(f, "p")
     words = rules[source.basis]
     out: dict[tuple[int, ...], Fraction] = {}
-    for pi, coeff in source._terms.items():
+    for pi, coeff in source.terms.items():
         for word in words(pi, k):
             _accumulate(out, word, coeff)
     return out
@@ -680,7 +759,7 @@ def project(f: NCSymElement) -> SymElement:
     """
     source = f if f.basis in SYM_BASES else convert(f, "p")
     out: dict[IntegerPartition, Fraction] = {}
-    for pi, coeff in source._terms.items():
+    for pi, coeff in source.terms.items():
         lam = pi.shape()
         if source.basis == "p":
             scalar = 1
@@ -693,6 +772,64 @@ def project(f: NCSymElement) -> SymElement:
 
 
 # ---------------------------------------------------------------------------
+# writers, from the sorted codes
+
+
+def _rendered(f: NCSymElement) -> Iterator[tuple[str, int, int]]:
+    """(partition text, numerator, denominator) of every term of f in
+    canonical order, each coefficient in lowest terms."""
+    blocks = _decoder(f.degree, [str(x) for x in range(f.degree + 1)])
+    terms, den = f._terms, f._den
+    for code in sorted(terms):
+        count = terms[code]
+        common = gcd(count, den)
+        yield "/".join(map(",".join, blocks(code))), count // common, den // common
+
+
+def iter_text(f: NCSymElement) -> Iterator[str]:
+    """str(f), one term at a time."""
+    if not f._terms:
+        yield "0"
+        return
+    plus, minus = "", "-"
+    for text, num, den in _rendered(f):
+        value = -num if num < 0 else num
+        piece = f"{f.basis}{{{text}}}"
+        if den != 1:
+            piece = f"{value}/{den}*{piece}"
+        elif value != 1:
+            piece = f"{value}*{piece}"
+        yield (minus if num < 0 else plus) + piece
+        plus, minus = " + ", " - "
+
+
+def iter_json(f: NCSymElement) -> Iterator[str]:
+    """json.dumps(element_to_json_dict(f), indent=2, sort_keys=True), one
+    term at a time."""
+    yield f'{{\n  "basis": "{f.basis}",\n  "degree": {f.degree},\n  "terms": ['
+    separator = "\n"
+    for text, num, den in _rendered(f):
+        yield (f'{separator}    {{\n      "den": {den},\n      "num": {num},\n'
+               f'      "partition": "{text}"\n    }}')
+        separator = ",\n"
+    yield "]\n}" if separator == "\n" else "\n  ]\n}"
+
+
+def coefficient_bounds(f: NCSymElement) -> tuple[int, int]:
+    """The largest |numerator| and the largest denominator among f's
+    coefficients in lowest terms; (0, 1) for zero."""
+    den = f._den
+    if den == 1:
+        return max(map(abs, f._terms.values()), default=0), 1
+    nums, dens = [0], [1]
+    for count in f._terms.values():
+        common = gcd(count, den)
+        nums.append(abs(count) // common)
+        dens.append(den // common)
+    return max(nums), max(dens)
+
+
+# ---------------------------------------------------------------------------
 # JSON interchange
 
 
@@ -701,10 +838,8 @@ def element_to_json_dict(f: NCSymElement) -> dict:
     return {
         "basis": f.basis,
         "degree": f.degree,
-        "terms": [
-            {"partition": pi.to_text(), "num": coeff.numerator, "den": coeff.denominator}
-            for pi, coeff in f.sorted_terms()
-        ],
+        "terms": [{"partition": text, "num": num, "den": den}
+                  for text, num, den in _rendered(f)],
     }
 
 
@@ -723,7 +858,7 @@ def element_from_json_dict(data: Mapping) -> NCSymElement:
         raise DomainError("degree must be a nonnegative integer")
     if not isinstance(raw_terms, list):
         raise DomainError("element JSON terms must be a list")
-    terms: dict[SetPartition, Fraction] = {}
+    terms: list[tuple[SetPartition, Fraction]] = []
     for entry in raw_terms:
         try:
             text = entry["partition"]
@@ -739,5 +874,5 @@ def element_from_json_dict(data: Mapping) -> NCSymElement:
         if pi.n != degree:
             raise DomainError(
                 f"term index {pi} does not match element degree {degree}")
-        _accumulate(terms, pi, Fraction(num, den))
-    return NCSymElement._raw(basis, degree, terms)
+        terms.append((pi, Fraction(num, den)))
+    return NCSymElement(basis, degree, terms)

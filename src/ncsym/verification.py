@@ -35,7 +35,15 @@ from .chromatic_bases import (
     combine,
     express,
 )
-from .elements import act, basis_term, convert, multiply
+from .elements import (
+    act,
+    basis_term,
+    coefficient,
+    convert,
+    is_negative_in,
+    is_positive_in,
+    multiply,
+)
 from .errors import DomainError, InvariantViolation
 from .graphs import (
     LabeledGraph,
@@ -217,18 +225,17 @@ def _check_epos(graph: LabeledGraph) -> Optional[dict]:
     if report.verdict != expected_verdict:
         return _failure(format_graph_line(graph), expected_verdict, report.verdict)
     in_e = convert(chromatic_symmetric_function(graph), "e")
-    values = list(in_e.terms.values())
     if report.verdict == "e_positive":
-        if any(c < 0 for c in values):
+        if not is_positive_in(in_e, "e"):
             return _failure(format_graph_line(graph), "no negative e coefficients",
                             str(in_e))
     else:
-        if not (any(c > 0 for c in values) and any(c < 0 for c in values)):
+        if is_positive_in(in_e, "e") or is_negative_in(in_e, "e"):
             return _failure(format_graph_line(graph),
                             "both positive and negative e coefficients",
                             str(in_e))
         pi, coeff = report.negative_witness
-        extracted = in_e.terms.get(pi, Fraction(0))
+        extracted = coefficient(in_e, "e", pi)
         if coeff >= 0 or extracted != coeff:
             return _failure(f"{format_graph_line(graph)} witness {pi.to_text()}",
                             str(coeff), str(extracted))
@@ -238,7 +245,7 @@ def _check_epos(graph: LabeledGraph) -> Optional[dict]:
 def _check_xsign(graph: LabeledGraph) -> Optional[dict]:
     sign = x_sign_report(graph).sign
     in_x = convert(chromatic_symmetric_function(graph), "x")
-    if any(sign * c < 0 for c in in_x.terms.values()):
+    if not (is_positive_in if sign > 0 else is_negative_in)(in_x, "x"):
         return _failure(format_graph_line(graph),
                         f"x coefficients of sign {sign}", str(in_x))
     return None

@@ -296,6 +296,18 @@ class TestBigIntegers:
         code, out, _ = run_cli("convert", "--expr", expr, "--from", "p", "--to", "m", *mode)
         assert code == 0 and num in out
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_limit_applies_to_each_coefficient_in_lowest_terms(self, tmp_path, mode):
+        # over the common denominator 2 the m{1,2} count is 10^L, one digit
+        # too long, but the coefficient itself, 5 * 10^(L-1), has L digits
+        num = "5" + "0" * (sys.get_int_max_str_digits() - 1)
+        path = tmp_path / "half.json"
+        path.write_text('{"basis": "m", "degree": 2, "terms": ['
+                        '{"partition": "1/2", "num": 1, "den": 2}, '
+                        f'{{"partition": "1,2", "num": {num}, "den": 1}}]}}')
+        code, out, _ = run_cli("convert", "--expr", str(path), "--from", "m", "--to", "m", *mode)
+        assert code == 0 and num in out
+
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_classify_coefficient_over_the_print_limit_exits_3(self, tmp_path, mode):
@@ -376,6 +388,27 @@ class TestClassify:
         code, out, _ = run_cli("classify", "--graph", str(path), "--json")
         top = json.loads(out)["e_positivity"]["top_coefficient"]
         assert top == {"num": 1, "den": 1}
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_many_equal_components_cost_one(self, tmp_path, mode):
+        # 833 disjoint 12-vertex paths: the top coefficient 1/11!^833 is too
+        # long to print, and one component's closed form serves them all
+        path = tmp_path / "paths"
+        path.write_text(format_graph(LabeledGraph(
+            9996, [(12 * k + i, 12 * k + i + 1) for k in range(833) for i in range(1, 12)])))
+        start = time.perf_counter()
+        code, out, err = run_cli("classify", "--graph", str(path), *mode)
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "coefficient has more than" in err
+
+    def test_component_over_the_ground_set_cap_is_refused(self, tmp_path):
+        # a path has a closed form, but the per-component cap still holds
+        path = tmp_path / "p13"
+        path.write_text("n 13\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 13)))
+        code, out, err = run_cli("classify", "--graph", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: connected-subset kernel limited to n <= 12 (NCSYM_MAX_N), got 13\n"
 
 
 class TestSizeCap:
@@ -589,9 +622,9 @@ def test_text_mode_never_builds_the_json_payload(p3_file, tmp_path, monkeypatch)
     converted = run_cli("convert", "--expr", str(expr), "--from", "p", "--to", "x")
 
     def refuse(value):
-        raise AssertionError("text mode built the JSON payload")
+        raise AssertionError("text mode ran the JSON writer")
 
-    monkeypatch.setattr(cli, "element_to_json_dict", refuse)
+    monkeypatch.setattr(cli, "iter_json", refuse)
     assert run_cli("expand", "--graph", p3_file, "--basis", "x") == expected
     assert run_cli("convert", "--expr", str(expr), "--from", "p", "--to", "x") == converted
     assert expected == converted == (0, "x{1,2,3} + x{1,3/2}\n", "")
