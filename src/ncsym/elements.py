@@ -77,7 +77,7 @@ def clear_caches() -> None:
     clear_partition_caches()
 
 
-def _accumulate(target: dict, key, delta: Fraction) -> None:
+def _accumulate(target: dict, key, delta: int | Fraction) -> None:
     old = target.get(key)
     total = delta if old is None else old + delta
     if total:
@@ -111,27 +111,12 @@ def _encode(pi: SetPartition) -> int:
     return sum(block[0] * sum(1 << field * (n - x) for x in block) for block in pi.blocks)
 
 
-def _fields(n: int) -> list[tuple[int, int]]:
-    """(x, shift) for x = 1..n: element x's field is code >> shift & ones."""
-    field = n.bit_length()
-    return [(x, field * (n - x)) for x in range(1, n + 1)]
-
-
-def _block_masks(code: int, n: int) -> list[int]:
-    """The block bitmasks of a partition code, by increasing least element."""
-    ones = (1 << n.bit_length()) - 1
-    masks: dict[int, int] = {}
-    for x, shift in _fields(n):
-        least = code >> shift & ones
-        masks[least] = masks.get(least, 0) | 1 << x
-    return list(masks.values())
-
-
 def _decoder(n: int, labels):
     """A function from a partition code of [n] to its blocks by increasing
     least element, each the list of labels[x] for its elements x."""
-    ones = (1 << n.bit_length()) - 1
-    fields = [(x, shift, labels[x]) for x, shift in _fields(n)]
+    field = n.bit_length()
+    ones = (1 << field) - 1
+    fields = [(x, field * (n - x), labels[x]) for x in range(1, n + 1)]
 
     def blocks(code: int):
         out: dict[int, list] = {}
@@ -263,7 +248,8 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
     product of mu[j] = (-1)^(j-1) (j-1)!.
     """
     basis = target if source == "p" else source
-    support = [(_block_masks(code, n), coeff) for code, coeff in terms.items() if coeff]
+    blocks = _decoder(n, [1 << x for x in range(n + 1)])
+    support = [(list(map(sum, blocks(code))), coeff) for code, coeff in terms.items() if coeff]
     if basis == "m":
         pairs = sum(_bell(len(masks)) for masks, _ in support)
         largest = max((len(masks) for masks, _ in support), default=0)
@@ -542,11 +528,11 @@ def act(delta: Permutation, f: NCSymElement) -> NCSymElement:
     if delta.n != f.degree:
         raise DomainError("permutation size must equal the element degree")
     fp = convert(f, "p")
-    images = delta.images
-    moved = _Memo(lambda mask: sum(1 << images[x - 1] for x in block_elements(mask))).__getitem__
-    return convert(from_block_masks(
-        "p", f.degree, ((map(moved, _block_masks(code, f.degree)), count)
-                        for code, count in fp._terms.items()), fp._den), f.basis)
+    # decode each block straight into the bitmask of its image
+    moved = _decoder(f.degree, [0] + [1 << image for image in delta.images])
+    return convert(from_block_masks("p", f.degree, ((map(sum, moved(code)), count)
+                                                    for code, count in fp._terms.items()),
+                                    fp._den), f.basis)
 
 
 def coefficient(f: NCSymElement, basis: str, pi: SetPartition) -> Fraction:

@@ -21,7 +21,7 @@ from ncsym.chromatic import (
 from ncsym.elements import (
     BASES,
     NCSymElement,
-    _block_masks,
+    _decoder,
     _encode,
     act,
     add,
@@ -161,8 +161,9 @@ def test_codes_increase_along_the_canonical_order():
         partitions = enumerate_partitions(n)
         codes = [_encode(pi) for pi in partitions]
         assert all(a < b for a, b in zip(codes, codes[1:]))
+        blocks = _decoder(n, range(n + 1))
         for pi, code in zip(partitions, codes):
-            assert _block_masks(code, n) == [sum(1 << x for x in block) for block in pi.blocks]
+            assert tuple(map(tuple, blocks(code))) == pi.blocks
 
 
 def test_the_view_is_built_once():
