@@ -14,18 +14,30 @@ through ``p``, multiplication concatenates indices (slash product), and the
 degree-raising operator and the symmetric group action act on ``p`` indices.
 Coefficients are exact rationals; zero coefficients are never stored.
 
-``convert`` applies the Rosas-Sagan closed forms on integer codes.  Inside it
-a block is a bitmask with bit x for element x, and a set partition of [n] is
-one int whose x-th field of n.bit_length() bits holds the least element of
-the block of x.  The code of a partition is the sum of its blocks' codes, so
-it needs no sorting, and it is O(n log n) bits wide.  Coefficients are ints:
-the element is scaled by the lcm of its denominators, a step out of p into e
-or h also by (n - 1)!, which every |mu(0, pi)| divides, and each output
-coefficient is divided once; ``from_block_masks`` makes the output terms from
-block masks and int counts, as it does for all Y_G routes but the lattice's.
-Conversions between m and p sum over coarsenings, the set partitions of a
-partition's k blocks; those between x, e or h and p over refinements, one set
-partition of each block.
+An element stores its degree, one int code per set partition with an int
+count, and one positive int denominator: the coefficient of b_pi is
+count / denominator.  The code of a partition of [n] has n fields of
+n.bit_length() bits, element 1 in the most significant, and the field of x
+holds the least element of the block of x.  It is the sum of its blocks'
+codes, so it needs no sorting, and int order is the canonical order by
+restricted growth string, so the sorted codes are the output order.  The
+storage is canonical: no count is 0 and gcd(denominator, *counts) == 1, so
+two elements of one basis are equal exactly when their dicts and
+denominators are.  ``from_block_masks`` builds an element from block
+bitmasks (bit x for element x) and int counts, as every Y_G route but the
+lattice's does, summing one code per distinct mask.  ``terms`` is the
+``SetPartition`` to ``Fraction`` view, in canonical order; it is built on
+first use and kept.  ``str``, ``element_to_json_dict`` and the writers
+``iter_text`` and ``iter_json`` never build it: they decode each term's text
+from the sorted codes and reduce its coefficient on its own.
+
+``convert`` applies the Rosas-Sagan closed forms on the codes, with each
+support partition decoded into block masks, and stores the codes it makes.
+The counts stay ints: a step out of p into e or h also multiplies the
+denominator by (n - 1)!, which every |mu(0, pi)| divides, and the result is
+reduced once.  Conversions between m and p sum over coarsenings, the set
+partitions of a partition's k blocks; those between x, e or h and p over
+refinements, one set partition of each block.
 
 Both come from ``partitions.set_partitions``, which caches the set partitions
 of small masks; this module keeps no cache of its own.  A zero element
@@ -34,11 +46,11 @@ converts to the zero element of the target at once.
 Before each step ``convert`` counts the pairs it will visit,
 sum_pi prod_B B_|B| over the support for x, e and h and sum_pi B_k(pi) for
 m, and raises ``ResourceLimitError`` above ``MAX_CONVERSION_PAIRS`` =
-2,000,000.  Y of K_9 (1,606,137 pairs) converts into any basis in about 2 s
-at under 50 MB; K_10 (16.7 million) and K_12 (2.28 billion) are refused.
-A step makes at most one output term per pair, about 0.5 KB each: the single
-term p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at
-354 MB.
+2,000,000.  Y of K_9 (1,606,137 pairs) converts into any basis in about 1 s
+at under 60 MB; K_10 (16.7 million) and K_12 (2.28 billion) are refused.
+A step makes at most one output term per pair.  The single term
+p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at 188 MB,
+about 260 bytes a term over the 17 MB of the interpreter.
 """
 
 from __future__ import annotations
@@ -55,7 +67,6 @@ from .partitions import (
     Permutation,
     SetPartition,
     bell_number,
-    block_elements,
     clear_caches as clear_partition_caches,
     multiplicity_factorial,
     parse_partition,
@@ -97,7 +108,13 @@ def _least(mask: int) -> int:
 def _spread(mask: int, n: int) -> int:
     """One in the field of every element of mask, in the codes of degree n."""
     field = n.bit_length()
-    return sum(1 << field * (n - x) for x in block_elements(mask))
+    total = 0
+    while mask:
+        low = mask & -mask
+        # low is bit x, and the field of x starts at bit field * (n - x)
+        total += 1 << field * (n + 1 - low.bit_length())
+        mask ^= low
+    return total
 
 
 def _block_code(mask: int, n: int) -> int:
