@@ -123,9 +123,7 @@ def _block_code(mask: int, n: int) -> int:
 
 
 def _encode(pi: SetPartition) -> int:
-    n = pi.n
-    field = n.bit_length()
-    return sum(block[0] * sum(1 << field * (n - x) for x in block) for block in pi.blocks)
+    return sum(_block_code(sum(1 << x for x in block), pi.n) for block in pi.blocks)
 
 
 def _decoder(n: int, labels):
@@ -821,15 +819,12 @@ def iter_json(f: NCSymElement) -> Iterator[str]:
 def coefficient_bounds(f: NCSymElement) -> tuple[int, int]:
     """The largest |numerator| and the largest denominator among f's
     coefficients in lowest terms; (0, 1) for zero."""
-    den = f._den
+    den, counts = f._den, f._terms.values()
     if den == 1:
-        return max(map(abs, f._terms.values()), default=0), 1
-    nums, dens = [0], [1]
-    for count in f._terms.values():
-        common = gcd(count, den)
-        nums.append(abs(count) // common)
-        dens.append(den // common)
-    return max(nums), max(dens)
+        return max(map(abs, counts), default=0), 1
+    # only a nonzero element has a denominator above 1
+    return (max(abs(count) // gcd(count, den) for count in counts),
+            max(den // gcd(count, den) for count in counts))
 
 
 # ---------------------------------------------------------------------------
