@@ -43,11 +43,10 @@ what ran before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .elements import (
     NCSymElement,
@@ -414,8 +413,7 @@ def matching_x_identity(pi: SetPartition) -> NCSymElement:
 # classification reports
 
 
-@dataclass(frozen=True)
-class EPositivityReport:
+class EPositivityReport(NamedTuple):
     """Outcome of the elementary-basis positivity test.
 
     verdict is 'e_positive' exactly when every component is a clique, else
@@ -504,8 +502,7 @@ def classify_e_positivity(graph: LabeledGraph) -> EPositivityReport:
     return EPositivityReport(verdict, cliqueish, witness, top)
 
 
-@dataclass(frozen=True)
-class XSignReport:
+class XSignReport(NamedTuple):
     """Sign pattern of the x expansion: with k components, the chromatic
     function times (-1)^(n-k) has nonnegative coordinates everywhere, so
     the JSON key z_is_x_positive is always true."""

@@ -10,10 +10,9 @@ which is never zero.  Triangularity with nonzero diagonal certifies a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chromatic import chromatic_symmetric_function
 from .elements import NCSymElement, convert
@@ -29,8 +28,7 @@ from .partitions import (
 MAX_MATRIX_CELLS = 1_000_000
 
 
-@dataclass(frozen=True)
-class AtomicGeneratorStrategy:
+class AtomicGeneratorStrategy(NamedTuple):
     """Names a rule producing one connected generator graph per atomic
     partition; rule(alpha) must return a connected graph on alpha's ground
     set whose components partition equals alpha."""
@@ -98,7 +96,6 @@ def basis_graph(strategy: AtomicGeneratorStrategy, pi: SetPartition) -> LabeledG
     return graph
 
 
-@dataclass(frozen=True)
 class ChromaticBasis:
     """A certified chromatic basis in degree n.
 
@@ -106,11 +103,14 @@ class ChromaticBasis:
     elements are aligned with it, elements in the p basis.
     """
 
-    n: int
-    strategy: AtomicGeneratorStrategy
-    order: tuple[SetPartition, ...]
-    graphs: tuple[LabeledGraph, ...]
-    elements: tuple[NCSymElement, ...]
+    def __init__(self, n: int, strategy: AtomicGeneratorStrategy,
+                 order: tuple[SetPartition, ...], graphs: tuple[LabeledGraph, ...],
+                 elements: tuple[NCSymElement, ...]) -> None:
+        self.n = n
+        self.strategy = strategy
+        self.order = order
+        self.graphs = graphs
+        self.elements = elements
 
     @cached_property
     def _index(self) -> dict[SetPartition, int]:

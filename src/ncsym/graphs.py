@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -187,7 +186,6 @@ def is_clique_union(graph: LabeledGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ContractionLattice:
     """The connected partitions of a graph with Moebius values off the bottom.
 
@@ -197,8 +195,12 @@ class ContractionLattice:
     is nonzero throughout.
     """
 
-    elements: tuple[SetPartition, ...]
-    mobius0: dict[SetPartition, int]
+    __slots__ = ("elements", "mobius0")
+
+    def __init__(self, elements: tuple[SetPartition, ...],
+                 mobius0: dict[SetPartition, int]) -> None:
+        self.elements = elements
+        self.mobius0 = mobius0
 
 
 def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:

@@ -11,7 +11,6 @@ fails without an explicit seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Optional
@@ -64,14 +63,16 @@ SAMPLE_COUNT = 50
 EDGE_PROBABILITY = 0.5
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    n: int
-    seed: Optional[int]
-    total: int = 0
-    passed: int = 0
-    failures: list[dict] = field(default_factory=list)
+    """Counts of one suite run and the verbatim record of each failure."""
+
+    def __init__(self, suite: str, n: int, seed: Optional[int]) -> None:
+        self.suite = suite
+        self.n = n
+        self.seed = seed
+        self.total = 0
+        self.passed = 0
+        self.failures: list[dict] = []
 
     @property
     def ok(self) -> bool:
