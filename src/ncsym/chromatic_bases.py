@@ -10,14 +10,22 @@ which is never zero.  Triangularity with nonzero diagonal certifies a basis.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .chromatic import chromatic_symmetric_function
-from .elements import NCSymElement, convert
+from .elements import NCSymElement, coefficient, convert, first_term_not_refining, iter_terms
 from .errors import DomainError, InvariantViolation, ResourceLimitError
-from .graphs import LabeledGraph, complete_graph_union, components_partition, slash_union
+from .graphs import (
+    LabeledGraph,
+    complete_graph_union,
+    components_partition,
+    format_graph,
+    format_graph_line,
+    slash_union,
+)
 from .partitions import (
     SetPartition,
     bell_number,
@@ -143,12 +151,12 @@ def build_basis(n: int, strategy: AtomicGeneratorStrategy) -> ChromaticBasis:
     for pi in order:
         graph = basis_graph(strategy, pi)
         value = chromatic_symmetric_function(graph)
-        for sigma in value.terms:
-            if not sigma.refines(pi):
-                raise InvariantViolation(
-                    f"p support of basis element at {pi.to_text()} leaks to "
-                    f"{sigma.to_text()}")
-        if pi not in value.terms:
+        sigma = first_term_not_refining(value, pi)
+        if sigma is not None:
+            raise InvariantViolation(
+                f"p support of basis element at {pi.to_text()} leaks to "
+                f"{sigma.to_text()}")
+        if not coefficient(value, "p", pi):
             raise InvariantViolation(f"diagonal coefficient at {pi.to_text()} is 0")
         graphs.append(graph)
         elements.append(value)
@@ -215,13 +223,49 @@ def transition_matrix(basis: ChromaticBasis) -> list[list[Fraction]]:
     return matrix
 
 
-def transition_matrix_json(basis: ChromaticBasis) -> dict:
-    """JSON-ready transition data: partition labels in canonical order and
-    the matrix rows as exact fraction pairs."""
-    return {
-        "n": basis.n,
-        "strategy": basis.strategy.name,
-        "order": [pi.to_text() for pi in basis.order],
-        "matrix": [[{"num": c.numerator, "den": c.denominator} for c in row]
-                   for row in transition_matrix(basis)],
-    }
+def iter_basis_text(basis: ChromaticBasis) -> Iterator[str]:
+    """The text form of basis, one line at a time: the generator graph of
+    every partition, then the nonzero p coordinates of every element."""
+    yield f"chromatic basis n={basis.n} strategy={basis.strategy.name}"
+    for pi, graph in zip(basis.order, basis.graphs):
+        yield f"\n  {pi}: {format_graph_line(graph)}"
+    yield "\ntransition rows (basis element -> p coordinates):"
+    for pi, element in zip(basis.order, basis.elements):
+        cells = " ".join(f"{text}:{num}" if den == 1 else f"{text}:{num}/{den}"
+                         for text, num, den in iter_terms(element))
+        yield f"\n  {pi}: {cells}"
+
+
+_ZERO_CELL = '      {\n        "den": 1,\n        "num": 0\n      }'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """json.dumps(..., indent=2) of a list at this indent, from its items'
+    text, each already indented one level deeper."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def iter_basis_json(basis: ChromaticBasis) -> Iterator[str]:
+    """The JSON form of basis, as json.dumps(..., indent=2, sort_keys=True)
+    writes it, one transition matrix row at a time: generators (partition
+    and graph text), matrix (row i holds the p coordinates of element i as
+    num/den pairs over the columns of order), n, order (partition texts in
+    canonical order) and strategy."""
+    texts = [pi.to_text() for pi in basis.order]
+    column = {text: j for j, text in enumerate(texts)}
+    yield '{\n  "generators": ' + _json_list([
+        f'    {{\n      "graph": {json.dumps(format_graph(graph))},\n'
+        f'      "partition": {json.dumps(text)}\n    }}'
+        for text, graph in zip(texts, basis.graphs)], "  ")
+    yield ',\n  "matrix": '
+    separator = "["
+    for element in basis.elements:
+        cells = [_ZERO_CELL] * len(texts)
+        for text, num, den in iter_terms(element):
+            cells[column[text]] = f'      {{\n        "den": {den},\n        "num": {num}\n      }}'
+        yield f"{separator}\n    {_json_list(cells, '    ')}"
+        separator = ","
+    yield "[]" if separator == "[" else "\n  ]"
+    yield (f',\n  "n": {basis.n},\n  "order": '
+           + _json_list([f"    {json.dumps(text)}" for text in texts], "  ")
+           + f',\n  "strategy": {json.dumps(basis.strategy.name)}\n}}')

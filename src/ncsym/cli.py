@@ -34,7 +34,8 @@ from .chromatic_bases import (
     PATH_PER_BLOCK,
     build_basis,
     check_matrix_size,
-    transition_matrix_json,
+    iter_basis_json,
+    iter_basis_text,
 )
 from .elements import (
     BASES,
@@ -48,8 +49,6 @@ from .elements import (
 from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLimitError
 from .graphs import (
     components_partition,
-    format_graph,
-    format_graph_line,
     is_clique_union,
     is_tree,
     parse_graph,
@@ -181,25 +180,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    strategy = _STRATEGY_FLAG[args.strategy]
     if args.json:
+        # the schema asks for the dense matrix, so only --json is capped
         check_matrix_size(args.n)
-    basis = build_basis(args.n, strategy)
-    if args.json:
-        # the schema asks for the dense matrix, so only --json builds it
-        payload = transition_matrix_json(basis)
-        payload["generators"] = [
-            {"partition": pi.to_text(), "graph": format_graph(graph)}
-            for pi, graph in zip(basis.order, basis.graphs)]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"chromatic basis n={basis.n} strategy={strategy.name}")
-    for pi, graph in zip(basis.order, basis.graphs):
-        print(f"  {pi}: {format_graph_line(graph)}")
-    print("transition rows (basis element -> p coordinates):")
-    for pi, element in zip(basis.order, basis.elements):
-        cells = " ".join(f"{sigma}:{coeff}" for sigma, coeff in element.sorted_terms())
-        print(f"  {pi}: {cells}")
+    basis = build_basis(args.n, _STRATEGY_FLAG[args.strategy])
+    # one row at a time, once every refusal has had its chance
+    sys.stdout.writelines(iter_basis_json(basis) if args.json else iter_basis_text(basis))
+    sys.stdout.write("\n")
     return 0
 
 

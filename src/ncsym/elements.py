@@ -27,9 +27,10 @@ denominators are.  ``from_block_masks`` builds an element from block
 bitmasks (bit x for element x) and int counts, as every Y_G route but the
 lattice's does, summing one code per distinct mask.  ``terms`` is the
 ``SetPartition`` to ``Fraction`` view, in canonical order; it is built on
-first use and kept.  ``str``, ``element_to_json_dict`` and the writers
-``iter_text`` and ``iter_json`` never build it: they decode each term's text
-from the sorted codes and reduce its coefficient on its own.
+first use and kept.  ``str``, ``element_to_json_dict``, the writers
+``iter_text`` and ``iter_json`` and ``iter_terms``, which lists each term's
+text and coefficient, never build it: they decode each term's text from the
+sorted codes and reduce its coefficient on its own.
 
 ``convert`` applies the Rosas-Sagan closed forms on the codes, with each
 support partition decoded into block masks, and stores the codes it makes.
@@ -123,7 +124,10 @@ def _block_code(mask: int, n: int) -> int:
 
 
 def _encode(pi: SetPartition) -> int:
-    return sum(_block_code(sum(1 << x for x in block), pi.n) for block in pi.blocks)
+    n, blocks = pi.n, pi.blocks
+    field = n.bit_length()
+    # a canonical block lists its least element first
+    return sum(blocks[b][0] << field * (n - x) for x, b in enumerate(pi.rgs, 1))
 
 
 def _decoder(n: int, labels):
@@ -558,6 +562,23 @@ def coefficient(f: NCSymElement, basis: str, pi: SetPartition) -> Fraction:
     return Fraction(g._terms.get(_encode(pi), 0), g._den)
 
 
+def first_term_not_refining(f: NCSymElement, pi: SetPartition) -> SetPartition | None:
+    """The first index of f, in canonical order, that does not refine pi, a
+    partition of [f.degree]; None when every index refines pi."""
+    n = f.degree
+    field = n.bit_length()
+    ones = (1 << field) - 1
+    # own[x]: the least element of the pi block of x, the field of x in pi's code
+    own = [0] + [pi.blocks[b][0] for b in pi.rgs]
+    # sigma refines pi when each x shares its pi block with the least element
+    # of its sigma block
+    leaks = [code for x in range(1, n + 1) for code in f._terms
+             if own[code >> field * (n - x) & ones] != own[x]]
+    if not leaks:
+        return None
+    return SetPartition._raw(n, tuple(map(tuple, _decoder(n, range(n + 1))(min(leaks)))))
+
+
 def is_positive_in(f: NCSymElement, basis: str) -> bool:
     """All coefficients nonnegative in the given basis (vacuously for 0)."""
     return all(count >= 0 for count in convert(f, basis)._terms.values())
@@ -776,7 +797,7 @@ def project(f: NCSymElement) -> SymElement:
 # writers, from the sorted codes
 
 
-def _rendered(f: NCSymElement) -> Iterator[tuple[str, int, int]]:
+def iter_terms(f: NCSymElement) -> Iterator[tuple[str, int, int]]:
     """(partition text, numerator, denominator) of every term of f in
     canonical order, each coefficient in lowest terms."""
     blocks = _decoder(f.degree, [str(x) for x in range(f.degree + 1)])
@@ -793,7 +814,7 @@ def iter_text(f: NCSymElement) -> Iterator[str]:
         yield "0"
         return
     plus, minus = "", "-"
-    for text, num, den in _rendered(f):
+    for text, num, den in iter_terms(f):
         value = -num if num < 0 else num
         piece = f"{f.basis}{{{text}}}"
         if den != 1:
@@ -809,7 +830,7 @@ def iter_json(f: NCSymElement) -> Iterator[str]:
     term at a time."""
     yield f'{{\n  "basis": "{f.basis}",\n  "degree": {f.degree},\n  "terms": ['
     separator = "\n"
-    for text, num, den in _rendered(f):
+    for text, num, den in iter_terms(f):
         yield (f'{separator}    {{\n      "den": {den},\n      "num": {num},\n'
                f'      "partition": "{text}"\n    }}')
         separator = ",\n"
@@ -837,7 +858,7 @@ def element_to_json_dict(f: NCSymElement) -> dict:
         "basis": f.basis,
         "degree": f.degree,
         "terms": [{"partition": text, "num": num, "den": den}
-                  for text, num, den in _rendered(f)],
+                  for text, num, den in iter_terms(f)],
     }
 
 

@@ -15,8 +15,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+from ncsym.chromatic_bases import ChromaticBasis, transition_matrix
 from ncsym.elements import NCSymElement
-from ncsym.graphs import LabeledGraph
+from ncsym.graphs import LabeledGraph, format_graph
 from ncsym.partitions import (
     SetPartition,
     enumerate_partitions,
@@ -163,6 +164,21 @@ def rank_over_q(matrix: list[list[Fraction]]) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def basis_json_payload(basis: ChromaticBasis) -> dict:
+    """The whole ``basis --json`` document as one dict, built from the dense
+    ``Fraction`` matrix the way the CLI built it before it wrote row by row;
+    json.dumps(..., indent=2, sort_keys=True) of it is the expected output."""
+    return {
+        "n": basis.n,
+        "strategy": basis.strategy.name,
+        "order": [pi.to_text() for pi in basis.order],
+        "matrix": [[{"num": c.numerator, "den": c.denominator} for c in row]
+                   for row in transition_matrix(basis)],
+        "generators": [{"partition": pi.to_text(), "graph": format_graph(graph)}
+                       for pi, graph in zip(basis.order, basis.graphs)],
+    }
 
 
 def collapse_words(word_map: dict, k: int) -> dict:

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import rank_over_q
+import ncsym.chromatic_bases
+from helpers import basis_json_payload, rank_over_q
 from ncsym.chromatic import chromatic_symmetric_function
 from ncsym.chromatic_bases import (
     CLIQUE_PER_BLOCK,
@@ -17,13 +19,19 @@ from ncsym.chromatic_bases import (
     combine,
     express,
     generator_graph,
+    iter_basis_json,
+    iter_basis_text,
     strategy_from_generators,
     transition_matrix,
-    transition_matrix_json,
 )
 from ncsym.elements import basis_term, convert, multiply, one
 from ncsym.errors import DomainError, InvariantViolation, ResourceLimitError
-from ncsym.graphs import LabeledGraph, components_partition, contraction_lattice
+from ncsym.graphs import (
+    LabeledGraph,
+    components_partition,
+    contraction_lattice,
+    format_graph_line,
+)
 from ncsym.partitions import SetPartition, enumerate_partitions, parse_partition
 
 
@@ -195,10 +203,75 @@ class TestMatrixCap:
             build_basis(-1, PATH_PER_BLOCK)
 
 
+class TestCertification:
+    def test_first_leak_in_canonical_order_is_named(self, monkeypatch):
+        # the element at 1/2/3, whose graph is edgeless, gains two coarser terms
+        def leaky(graph):
+            value = chromatic_symmetric_function(graph)
+            if graph.edges:
+                return value
+            return (value + basis_term("p", parse_partition("1,3/2"))
+                    + basis_term("p", parse_partition("1,2,3")))
+
+        monkeypatch.setattr(ncsym.chromatic_bases, "chromatic_symmetric_function", leaky)
+        with pytest.raises(InvariantViolation) as err:
+            build_basis(3, PATH_PER_BLOCK)
+        assert str(err.value) == "p support of basis element at 1/2/3 leaks to 1,2,3"
+
+    def test_zero_diagonal_is_named(self, monkeypatch):
+        def no_diagonal(graph):
+            value = chromatic_symmetric_function(graph)
+            return value if graph.edges else value - value
+
+        monkeypatch.setattr(ncsym.chromatic_bases, "chromatic_symmetric_function", no_diagonal)
+        with pytest.raises(InvariantViolation) as err:
+            build_basis(3, PATH_PER_BLOCK)
+        assert str(err.value) == "diagonal coefficient at 1/2/3 is 0"
+
+
+def old_text(basis):
+    """The text form as it was written from each element's SetPartition view."""
+    lines = [f"chromatic basis n={basis.n} strategy={basis.strategy.name}"]
+    lines += [f"  {pi}: {format_graph_line(graph)}"
+              for pi, graph in zip(basis.order, basis.graphs)]
+    lines.append("transition rows (basis element -> p coordinates):")
+    for pi, element in zip(basis.order, basis.elements):
+        cells = " ".join(f"{sigma}:{coeff}" for sigma, coeff in element.sorted_terms())
+        lines.append(f"  {pi}: {cells}")
+    return "\n".join(lines)
+
+
+def path_generators(n):
+    """The path strategy's generator for every atomic partition of at most n."""
+    return {alpha: generator_graph(PATH_PER_BLOCK, alpha)
+            for k in range(1, n + 1) for alpha in enumerate_partitions(k) if alpha.is_atomic}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("strategy", [PATH_PER_BLOCK, CLIQUE_PER_BLOCK])
+    @pytest.mark.parametrize("n", range(7))
+    def test_writers_match_the_dense_payload_and_the_views(self, n, strategy):
+        basis = build_basis(n, strategy)
+        streamed_json = "".join(iter_basis_json(basis))
+        streamed_text = "".join(iter_basis_text(basis))
+        # neither the build nor the writers need the SetPartition/Fraction view
+        assert all(element._view is None for element in basis.elements)
+        assert streamed_json == json.dumps(basis_json_payload(basis), indent=2, sort_keys=True)
+        assert streamed_text == old_text(basis)
+
+    def test_strategy_name_is_escaped_as_json_dumps_escapes_it(self):
+        name = 'quote " backslash \\ newline \n tab \t non-ASCII \u00e9\u20ac\U0001d11e'
+        basis = build_basis(4, strategy_from_generators(name, path_generators(4)))
+        streamed = "".join(iter_basis_json(basis))
+        assert streamed == json.dumps(basis_json_payload(basis), indent=2, sort_keys=True)
+        assert json.loads(streamed)["strategy"] == name
+        assert "".join(iter_basis_text(basis)) == old_text(basis)
+
+
 class TestJsonExport:
     def test_shape_and_orientation(self):
         basis = build_basis(2, CLIQUE_PER_BLOCK)
-        data = transition_matrix_json(basis)
+        data = json.loads("".join(iter_basis_json(basis)))
         assert data["order"] == ["1,2", "1/2"]
         assert data["strategy"] == "clique_per_block"
         # first row: e_{12} = -p_{12} + p_{1/2}

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
@@ -48,17 +49,33 @@ def run_cli(*argv, stdin_text=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_limited(*argv, memory_mb=1024):
+def run_cli_limited(*argv, memory_mb=1024, stdout=subprocess.PIPE):
     """Invoke the CLI in a child process whose address space is capped, so a
-    request that would exhaust memory cannot take the test process with it."""
+    request that would exhaust memory cannot take the test process with it.
+    stdout may be an open file, for an output too large to hold as text."""
     limit = memory_mb << 20
     src = str(Path(ncsym.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "ncsym.cli", *argv], capture_output=True, text=True,
-        env=env, timeout=60,
+        [sys.executable, "-m", "ncsym.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+class DigestSink:
+    """A stdout that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
 
 
 @pytest.fixture(scope="module")
@@ -725,6 +742,44 @@ class TestBasis:
         code, out, err = run_cli("basis", "--n", "2", "--strategy", "path")
         assert code == 1 and out == ""
         assert err == "error: diagonal coefficient at 1,2 is 0\n"
+
+    def test_invariant_violation_with_json_exits_1_with_empty_stdout(self, monkeypatch):
+        def broken(n, strategy):
+            raise InvariantViolation("diagonal coefficient at 1,2 is 0")
+
+        monkeypatch.setattr(cli, "build_basis", broken)
+        code, out, err = run_cli("basis", "--n", "2", "--strategy", "path", "--json")
+        assert code == 1 and out == ""
+        assert err == "error: diagonal coefficient at 1,2 is 0\n"
+
+    def test_json_at_n6_is_written_in_under_5_mb(self):
+        sink = DigestSink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(["basis", "--n", "6", "--strategy", "path", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the "basis 6 path --json" pin of tests/test_golden.py
+        assert sink.digest.hexdigest() == (
+            "e96535a9d5d35ce4fd17e89ffdafe155b6c66487962e46b3873169f80c3e5b72")
+        assert peak < 5 << 20
+
+    @pytest.mark.parametrize("strategy,sha", [
+        ("path", "7ec15c655f9d2f61f09963f8b7bc683f9a4f7e070de487277f4a02c4fbd5f969"),
+        ("clique", "ab639fb16a25a5df49f30317c7008ba2e40b8acde9e5f897479c45ae2bce5d39"),
+    ])
+    def test_json_at_n7_runs_in_256_mb(self, tmp_path, strategy, sha):
+        # about 40 MB of stdout each; recorded when the matrix was built whole
+        path = tmp_path / "basis.json"
+        with path.open("wb") as handle:
+            result = run_cli_limited("basis", "--n", "7", "--strategy", strategy, "--json",
+                                     memory_mb=256, stdout=handle)
+        assert result.returncode == 0, result.stderr
+        with path.open("rb") as handle:
+            assert hashlib.file_digest(handle, "sha256").hexdigest() == sha
 
 
 class TestInfo:

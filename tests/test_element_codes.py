@@ -27,9 +27,11 @@ from ncsym.elements import (
     add,
     convert,
     element_to_json_dict,
+    first_term_not_refining,
     from_block_masks,
     induce,
     iter_json,
+    iter_terms,
     iter_text,
     multiply,
     scale,
@@ -68,6 +70,8 @@ def assert_matches_reference(f, terms):
     assert all(type(pi) is SetPartition and type(c) is Fraction for pi, c in f.terms.items())
     assert f.sorted_terms() == canonical_order(terms)
     assert str(f) == "".join(iter_text(f)) == reference_str(f.basis, terms)
+    assert list(iter_terms(f)) == [(pi.to_text(), c.numerator, c.denominator)
+                                   for pi, c in canonical_order(terms)]
     payload = element_to_json_dict(f)
     assert payload == reference_json(f.basis, f.degree, terms)
     assert "".join(iter_json(f)) == json.dumps(payload, indent=2, sort_keys=True)
@@ -154,6 +158,21 @@ def test_induce_and_act_on_codes_relabel_partitions(f, data):
     delta = Permutation(images)
     assert dict(act(delta, f).terms) == summed((pi.permuted(delta), c)
                                                for pi, c in f.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6), st.data())
+def test_first_term_not_refining_agrees_with_set_partition_refines(n, data):
+    partitions = enumerate_partitions(n)
+    pi = data.draw(st.sampled_from(partitions))
+    finer = [sigma for sigma in partitions if sigma.refines(pi)]
+    counts = st.integers(min_value=-3, max_value=3)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(finer), counts), max_size=6))
+    pairs += data.draw(st.lists(st.tuples(st.sampled_from(partitions), counts), max_size=2))
+    f = NCSymElement("p", n, pairs)
+    found = first_term_not_refining(f, pi)
+    assert f._view is None
+    assert found == next((sigma for sigma in f.terms if not sigma.refines(pi)), None)
 
 
 def test_codes_increase_along_the_canonical_order():
