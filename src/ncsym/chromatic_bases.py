@@ -16,7 +16,15 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 from .chromatic import chromatic_symmetric_function
-from .elements import NCSymElement, coefficient, convert, first_term_not_refining, iter_terms
+from .elements import (
+    NCSymElement,
+    add,
+    coefficient,
+    convert,
+    first_term_not_refining,
+    iter_terms,
+    scale,
+)
 from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .graphs import (
     LabeledGraph,
@@ -129,7 +137,7 @@ class ChromaticBasis:
             return self._index[pi]
         except KeyError:
             raise DomainError(
-                f"{pi.to_text()} is not a degree-{self.n} partition") from None
+                f"{pi} is not a degree-{self.n} partition") from None
 
     def element_at(self, pi: SetPartition) -> NCSymElement:
         return self.elements[self.index_of(pi)]
@@ -166,28 +174,25 @@ def build_basis(n: int, strategy: AtomicGeneratorStrategy) -> ChromaticBasis:
 def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fraction]:
     """Coordinates of f in the chromatic basis, by back-substitution.
 
-    Works coarsest-first: the coarsest partition carrying a residue has its
-    coefficient fixed by the diagonal, then that multiple of the basis
-    element is subtracted; triangularity guarantees termination with an
-    empty residue.
+    Canonical order lists every partition before its strict refinements,
+    which open a new block where their restricted growth strings first
+    differ.  So no later element supports pi: the diagonal fixes pi's
+    coordinate, that multiple is subtracted, and the residue ends empty.
     """
     if f.degree != basis.n:
         raise DomainError(
             f"element of degree {f.degree} cannot be expressed "
             f"in a degree-{basis.n} basis")
-    residue = dict(convert(f, "p").terms)
+    residue = convert(f, "p")
     coords: dict[SetPartition, Fraction] = {}
-    # coarsest first: fewest blocks, ties broken by canonical encoding
-    for pi, element in sorted(zip(basis.order, basis.elements),
-                              key=lambda item: (len(item[0].blocks), item[0].rgs)):
-        value = residue.get(pi)
+    for pi, element in zip(basis.order, basis.elements):
+        value = coefficient(residue, "p", pi)
         if not value:
             continue
-        coeff = value / element.terms[pi]
+        coeff = value / coefficient(element, "p", pi)
         coords[pi] = coeff
-        for sigma, c in element.terms.items():
-            residue[sigma] = residue.get(sigma, 0) - coeff * c
-    if any(residue.values()):
+        residue = add(residue, scale(element, -coeff))
+    if not residue.is_zero():
         raise InvariantViolation("back-substitution left a nonzero residue")
     return coords
 
@@ -195,9 +200,8 @@ def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fracti
 def combine(basis: ChromaticBasis,
             coords: dict[SetPartition, Fraction]) -> NCSymElement:
     """Inverse of express: assemble the linear combination sum c_pi Y_{G_pi}."""
-    return NCSymElement("p", basis.n, (
-        (sigma, coeff * c) for pi, coeff in coords.items() if coeff
-        for sigma, c in basis.element_at(pi).terms.items()))
+    return sum((scale(basis.element_at(pi), c) for pi, c in coords.items() if c),
+               NCSymElement.zero("p", basis.n))
 
 
 def check_matrix_size(n: int) -> None:
@@ -214,11 +218,12 @@ def check_matrix_size(n: int) -> None:
 def transition_matrix(basis: ChromaticBasis) -> list[list[Fraction]]:
     """Rows follow canonical order; row i holds the p coordinates of basis
     element i, columns in the same canonical order."""
+    column = {pi.to_text(): j for j, pi in enumerate(basis.order)}
     matrix = []
     for element in basis.elements:
-        row = [Fraction(0)] * len(basis.order)
-        for sigma, coeff in element.terms.items():
-            row[basis.index_of(sigma)] = coeff
+        row = [Fraction(0)] * len(column)
+        for text, num, den in iter_terms(element):
+            row[column[text]] = Fraction(num, den)
         matrix.append(row)
     return matrix
 

@@ -26,11 +26,12 @@ two elements of one basis are equal exactly when their dicts and
 denominators are.  ``from_block_masks`` builds an element from block
 bitmasks (bit x for element x) and int counts, as every Y_G route but the
 lattice's does, summing one code per distinct mask.  ``terms`` is the
-``SetPartition`` to ``Fraction`` view, in canonical order; it is built on
-first use and kept.  ``str``, ``element_to_json_dict``, the writers
-``iter_text`` and ``iter_json`` and ``iter_terms``, which lists each term's
-text and coefficient, never build it: they decode each term's text from the
-sorted codes and reduce its coefficient on its own.
+``SetPartition`` to ``Fraction`` view, in canonical order: an export only,
+built anew on each read and kept nowhere, and no other ncsym module reads
+it.  ``str``, ``element_to_json_dict``, the writers ``iter_text`` and
+``iter_json`` and ``iter_terms``, which lists each term's text and
+coefficient, never build it: they decode each term's text from the sorted
+codes and reduce its coefficient on its own.
 
 ``convert`` applies the Rosas-Sagan closed forms on the codes, with each
 support partition decoded into block masks, and stores the codes it makes.
@@ -313,7 +314,7 @@ class NCSymElement:
     degree.
     """
 
-    __slots__ = ("basis", "degree", "_terms", "_den", "_view")
+    __slots__ = ("basis", "degree", "_terms", "_den")
 
     def __init__(self, basis: str, degree: int,
                  terms: Mapping[SetPartition, object] | Iterable[tuple[SetPartition, object]]):
@@ -337,7 +338,6 @@ class NCSymElement:
         self._terms = {code: value.numerator * (den // value.denominator)
                        for code, value in values.items()}
         self._den = den
-        self._view = None
 
     @classmethod
     def _raw(cls, basis: str, degree: int, terms: dict[int, int],
@@ -348,7 +348,6 @@ class NCSymElement:
         self.degree = degree
         self._terms = terms
         self._den = den
-        self._view = None
         return self
 
     @classmethod
@@ -359,23 +358,18 @@ class NCSymElement:
 
     @property
     def terms(self) -> Mapping[SetPartition, Fraction]:
-        """Coefficients by partition in canonical order, built on first use."""
-        if self._view is None:
-            n, den = self.degree, self._den
-            blocks = _decoder(n, range(n + 1))
-            # Fraction of one int skips the gcd
-            value = Fraction if den == 1 else (lambda count: Fraction(count, den))
-            self._view = MappingProxyType({
-                SetPartition._raw(n, tuple(map(tuple, blocks(code)))): value(self._terms[code])
-                for code in sorted(self._terms)})
-        return self._view
+        """Coefficients by partition in canonical order: an export, built on
+        each read and read by no other ncsym module."""
+        n, den = self.degree, self._den
+        blocks = _decoder(n, range(n + 1))
+        # Fraction of one int skips the gcd
+        value = Fraction if den == 1 else (lambda count: Fraction(count, den))
+        return MappingProxyType({
+            SetPartition._raw(n, tuple(map(tuple, blocks(code)))): value(self._terms[code])
+            for code in sorted(self._terms)})
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def sorted_terms(self) -> list[tuple[SetPartition, Fraction]]:
-        """Terms ordered by the canonical partition encoding."""
-        return list(self.terms.items())
 
     # operators delegate to the module functions
 

@@ -11,9 +11,12 @@ from one cached column per basis term, each listed by the interval
 enumerators below, where the package converts on integer codes.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
+
+import pytest
 
 from ncsym.chromatic_bases import ChromaticBasis, transition_matrix
 from ncsym.elements import NCSymElement
@@ -164,6 +167,18 @@ def rank_over_q(matrix: list[list[Fraction]]) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+@contextmanager
+def no_term_view():
+    """Within the block, reading ``NCSymElement.terms`` fails the test: the
+    code run there must not build the ``SetPartition``/``Fraction`` view."""
+    def fail(element):
+        pytest.fail("NCSymElement.terms was read")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NCSymElement, "terms", property(fail))
+        yield
 
 
 def basis_json_payload(basis: ChromaticBasis) -> dict:

@@ -1,6 +1,6 @@
 """Only ``elements`` knows how an element stores its terms: no other module
-reads ``_terms``, calls ``_raw`` on an element class or imports
-``_accumulate``."""
+reads ``_terms`` or the ``terms`` view, calls ``sorted_terms``, calls
+``_raw`` on an element class or imports ``_accumulate``."""
 
 import ast
 from pathlib import Path
@@ -9,15 +9,17 @@ import ncsym
 
 MODULES = sorted(Path(ncsym.__file__).parent.glob("*.py"))
 ELEMENT_CLASSES = frozenset({"NCSymElement", "SymElement"})
+VIEW_ATTRIBUTES = frozenset({"_terms", "terms", "sorted_terms"})
 
 
 def term_format_uses(source: str) -> list[str]:
-    """'line: what' for each read of ._terms, call of an element class's
-    _raw and import of _accumulate."""
+    """'line: what' for each read of ._terms or .terms, use of
+    .sorted_terms, call of an element class's _raw and import of
+    _accumulate."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "_terms":
-            found.append(f"{node.lineno}: ._terms")
+        if isinstance(node, ast.Attribute) and node.attr in VIEW_ATTRIBUTES:
+            found.append(f"{node.lineno}: .{node.attr}")
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "_raw" and isinstance(node.func.value, ast.Name)
                 and node.func.value.id in ELEMENT_CLASSES):
@@ -37,10 +39,13 @@ def test_detector_flags_each_kind_of_use():
         "    SymElement._raw('p', 0, {})\n"
         "    return NCSymElement._raw('p', pi.n, terms)\n"
         "def allowed(value, n):\n"
-        "    return SetPartition._raw(n, ()), value.terms\n"
+        "    return SetPartition._raw(n, ()), value.term, terms\n"
+        "def view(value):\n"
+        "    return value.terms, value.sorted_terms()\n"
     )
     assert sorted(term_format_uses(source)) == [
-        "1: import _accumulate", "3: ._terms", "5: SymElement._raw", "6: NCSymElement._raw"]
+        "10: .sorted_terms", "10: .terms", "1: import _accumulate", "3: ._terms",
+        "5: SymElement._raw", "6: NCSymElement._raw"]
 
 
 def test_only_elements_knows_the_term_format():
