@@ -19,13 +19,20 @@ the output, where the kernel would need a change of basis out of p.  ``verify
 --suite agreement`` still checks it independently, converted into p.  The
 CLI's ``--method`` flags name these functions.
 
-The kernel, ``csf_from_colorings`` and ``csf_from_contraction_lattice`` all
-enumerate partitions through ``partitions.weighted_partitions``, each with its
-own per-block table: connected Moebius values, independent sets, connected
-sets.  The other two routes enumerate no partitions, so a fault in that one
-enumerator still shows up as a disagreement.  The other routes hand block
-bitmasks with int counts to ``elements.from_block_masks``; the lattice route,
-whose keys are ``SetPartition`` already, does not, which checks that too.
+The kernel, ``csf_from_colorings`` and ``csf_from_contraction_lattice`` each
+build one table over vertex bitmasks and hand it to
+``elements.from_weighted_blocks``, which lists the partitions into blocks of
+nonzero weight through ``partitions.weighted_partitions`` and labels each with
+its partition code from one table of block codes.  The tables come from
+different identities: the kernel's from the independent-set identity of
+``connected_mobius``, the lattice route's from the bond lattice's defining
+recursion in ``graphs.bond_mobius``, the coloring definition's from the
+independent sets.  The edge-subset and deletion-contraction routes enumerate
+no partitions and hand block bitmasks to ``elements.from_block_masks``, which
+encodes each block on its own, so a fault in the enumerator or in the code
+table still shows up as a disagreement.  No route goes through the public
+``NCSymElement`` constructor, which ``tests/test_element_codes.py`` checks
+against the term view.
 
 On top of these sit the classification reports (elementary-basis positivity,
 the global sign pattern in the x basis), the k-cycle deletion identity, the
@@ -55,14 +62,15 @@ from .elements import (
     check_conversion_pairs,
     convert,
     from_block_masks,
+    from_weighted_blocks,
     scale,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .graphs import (
     LabeledGraph,
+    bond_mobius,
     complete_graph_union,
     components_partition,
-    contraction_lattice,
     delete_edges,
     is_clique_union,
     is_tree,
@@ -214,8 +222,7 @@ def chromatic_symmetric_function(graph: LabeledGraph) -> NCSymElement:
     connected_mobius: mu(0, pi) in the bond lattice factors over the blocks
     of pi.  Refuses graphs with more than NCSYM_MAX_N vertices.
     """
-    return from_block_masks("p", graph.n,
-                            weighted_partitions(graph.n, connected_mobius(graph)).items())
+    return from_weighted_blocks("p", graph.n, connected_mobius(graph))
 
 
 def conversion_pairs(graph: LabeledGraph, basis: str) -> int:
@@ -239,8 +246,9 @@ def conversion_pairs(graph: LabeledGraph, basis: str) -> int:
 
 
 def csf_from_contraction_lattice(graph: LabeledGraph) -> NCSymElement:
-    """Moebius-weighted sum of power sums over the connected partitions."""
-    return NCSymElement("p", graph.n, contraction_lattice(graph).mobius0)
+    """Moebius-weighted sum of power sums over the connected partitions:
+    mu(0, pi) = prod_B m[B], with m from ``graphs.bond_mobius``."""
+    return from_weighted_blocks("p", graph.n, bond_mobius(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +323,7 @@ def csf_from_colorings(graph: LabeledGraph) -> NCSymElement:
     independent sets (the equality patterns of proper colorings).  Refuses,
     before listing them, more than MAX_CONVERSION_PAIRS terms."""
     check_conversion_pairs(conversion_pairs(graph, "m"), "into m")
-    return from_block_masks("m", graph.n,
-                            weighted_partitions(graph.n, _independent_sets(graph)).items())
+    return from_weighted_blocks("m", graph.n, _independent_sets(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +392,9 @@ def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
     sides = [tree._reach_mask(v, everything ^ 1 << u) for u, v in tree.edges
              if u not in leaves and v not in leaves]
     sign = -1 if (n - 1) % 2 else 1
+    key = [()] + [(s,) for s in range(1, 1 << (n + 1))]
     return from_block_masks("x", n, (
-        (masks, sign) for masks in weighted_partitions(n, allowed)
+        (masks, sign) for masks in weighted_partitions(n, allowed, key)
         if all(any(0 != m & side != m for m in masks) for side in sides)))
 
 

@@ -23,9 +23,14 @@ codes, so it needs no sorting, and int order is the canonical order by
 restricted growth string, so the sorted codes are the output order.  The
 storage is canonical: no count is 0 and gcd(denominator, *counts) == 1, so
 two elements of one basis are equal exactly when their dicts and
-denominators are.  ``from_block_masks`` builds an element from block
-bitmasks (bit x for element x) and int counts, as every Y_G route but the
-lattice's does, summing one code per distinct mask.  ``terms`` is the
+denominators are.  Two constructors build an element from block bitmasks
+(bit x for element x).  ``from_block_masks`` takes partitions as mask tuples
+with int counts, as the edge-subset and deletion-contraction routes give
+them, and encodes each distinct mask on its own.  ``from_weighted_blocks``
+takes a table of block weights, fills the codes of the blocks of nonzero
+weight in one pass, and has ``partitions.weighted_partitions`` label each
+partition with the sum of its blocks' codes as it lists it; the kernel, the
+lattice route and the coloring definition use it.  ``terms`` is the
 ``SetPartition`` to ``Fraction`` view, in canonical order: an export only,
 built anew on each read and kept nowhere, and no other ncsym module reads
 it.  ``str``, ``element_to_json_dict``, the writers ``iter_text`` and
@@ -61,7 +66,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
@@ -74,6 +79,7 @@ from .partitions import (
     parse_partition,
     parts_factorial,
     set_partitions,
+    weighted_partitions,
 )
 
 BASES = ("m", "p", "e", "h", "x")
@@ -436,6 +442,32 @@ def from_block_masks(basis: str, n: int, pairs: Iterable[tuple[Iterable[int], in
     code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
     return _element(basis, n, {sum(map(code_of, masks)): count
                                for masks, count in pairs if count}, denominator)
+
+
+def _block_codes(n: int, weight: Sequence[int]) -> list[int]:
+    """Each block's share of a partition code, at the masks of nonzero
+    weight, in one pass: a mask's spread is that of the mask without its
+    least bit plus that bit's field."""
+    field = n.bit_length()
+    size = 1 << (n + 1)
+    spread = [0] * size
+    codes = [0] * size
+    for s in range(2, size, 2):
+        low = s & -s
+        least = low.bit_length() - 1
+        spread[s] = spread[s ^ low] + (1 << field * (n - least))
+        if weight[s]:
+            codes[s] = least * spread[s]
+    return codes
+
+
+def from_weighted_blocks(basis: str, n: int, weight: Sequence[int]) -> NCSymElement:
+    """The element sum over the partitions pi of [n] into blocks of nonzero
+    weight of prod_B weight[B] * b_pi, weight indexed by block bitmask (bit
+    x for element x); each partition is labeled by its code as it is
+    listed."""
+    codes = _block_codes(n, weight)
+    return NCSymElement._raw(basis, n, weighted_partitions(n, weight, codes))
 
 
 def basis_term(basis: str, pi: SetPartition, coeff=1) -> NCSymElement:

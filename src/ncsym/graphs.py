@@ -10,7 +10,7 @@ import random
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .errors import DomainError, GraphParseError, InvariantViolation, ResourceLimitError
+from .errors import DomainError, GraphParseError, ResourceLimitError
 from .partitions import (
     Permutation,
     SetPartition,
@@ -22,8 +22,8 @@ from .partitions import (
 
 # parse_graph refuses a larger 'n' header before anything is allocated
 MAX_VERTICES = 10_000
-# contraction_lattice refuses more connected partitions before listing them:
-# its Moebius recursion is quadratic in their number, and K_8 has 4,140
+# contraction_lattice refuses more connected partitions before listing them
+# as SetPartitions; K_8 has 4,140
 MAX_LATTICE_ELEMENTS = 5_000
 
 
@@ -203,34 +203,65 @@ class ContractionLattice:
         self.mobius0 = mobius0
 
 
-def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
-    """Enumerate the connected partitions and compute bottom-up Moebius values
-    by the defining recursion over the enumerated poset.  Counts them first
-    and refuses more than MAX_LATTICE_ELEMENTS."""
+def bond_mobius(graph: LabeledGraph) -> list[int]:
+    """The table m over vertex bitmasks (bit x for vertex x): m[S] is the
+    Moebius value mu(0, 1) of the bond lattice L(G[S]), nonzero exactly when
+    S is nonempty and connected.
+
+    The interval [0, pi] of L(G) is the product of the L(G[B]) over the
+    blocks B of pi, so mu(0, pi) = prod_B m[B], and the defining recursion,
+    the sum of mu(0, sigma) over L(G[S]) being 0, solves for m[S] over masks
+    in increasing order.  W[S] sums prod_B m[B] over the partitions of S
+    into connected blocks, each block chosen as a submask holding min S;
+    W[S] = 0 for connected S with two or more vertices; O(3^n).
+    """
     n = graph.n
-    check_ground_set(n, "contraction lattice")
-    connected = [graph.is_connected_subset(s) for s in range(1 << (n + 1))]
-    count = weighted_partition_sums(n, connected)[(1 << (n + 1)) - 2]
+    check_ground_set(n, "bond lattice")
+    size = 1 << (n + 1)
+    m = [0] * size
+    whole = [0] * size
+    whole[0] = 1
+    for s in range(2, size, 2):
+        low = s & -s
+        rest = s ^ low
+        if not rest:
+            m[s] = whole[s] = 1
+            continue
+        # m[s] is still 0, so the block s itself adds nothing
+        total = 0
+        sub = rest
+        while True:
+            value = m[sub | low]
+            if value:
+                total += value * whole[rest ^ sub]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        if graph.is_connected_subset(s):
+            m[s] = -total
+        else:
+            whole[s] = total
+    return m
+
+
+def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
+    """The connected partitions, finer first, each with mu(0, pi) = prod_B
+    m[B] from ``bond_mobius``.  Counts them first and refuses more than
+    MAX_LATTICE_ELEMENTS, since the record holds each as a SetPartition."""
+    n = graph.n
+    m = bond_mobius(graph)
+    count = weighted_partition_sums(n, list(map(bool, m)))[(1 << (n + 1)) - 2]
     if count > MAX_LATTICE_ELEMENTS:
         raise ResourceLimitError(
             f"contraction lattice has {count} elements, "
             f"over the cap of {MAX_LATTICE_ELEMENTS}")
-    blocks = {s: block_elements(s) for s in range(2, 1 << (n + 1), 2) if connected[s]}
+    # each partition labeled by its tuple of blocks, least element first
+    key = [()] + [(block_elements(s),) for s in range(1, 1 << (n + 1))]
     # finer partitions first: any strict refinement has strictly more blocks
-    order = sorted((SetPartition._raw(n, tuple(map(blocks.__getitem__, masks)))
-                    for masks in weighted_partitions(n, connected)),
-                   key=lambda p: (-len(p.blocks), p.rgs))
-    mobius0: dict[SetPartition, int] = {order[0]: 1}
-    for i, pi in enumerate(order[1:], start=1):
-        nblocks = len(pi.blocks)
-        total = 0
-        for sigma in order[:i]:
-            if len(sigma.blocks) > nblocks and sigma.refines(pi):
-                total += mobius0[sigma]
-        mobius0[pi] = -total
-    if any(value == 0 for value in mobius0.values()):
-        raise InvariantViolation("contraction lattice produced a zero Moebius value")
-    return ContractionLattice(tuple(order), mobius0)
+    order = sorted(((SetPartition._raw(n, blocks), value)
+                    for blocks, value in weighted_partitions(n, m, key).items()),
+                   key=lambda item: (-len(item[0].blocks), item[0].rgs))
+    return ContractionLattice(tuple(pi for pi, _ in order), dict(order))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ enumerators a block is a bitmask with bit x for element x, which
 ``block_elements`` turns back into a block.  ``set_partitions`` lists every
 set partition of a bitmask and ``enumerate_partitions`` those of [n], sorted
 by restricted growth string.  ``weighted_partitions`` keeps only those whose
-blocks all have nonzero weight, as tuples of block bitmasks, pruning as it
-goes: the 12-vertex path has 2,048 connected partitions against B_12 = 4.2
-million.
+blocks all have nonzero weight, pruning as it goes (the 12-vertex path has
+2,048 connected partitions against B_12 = 4.2 million), and labels each by
+summing a per-block key table the caller passes: block-mask tuples, or
+partition codes straight away.
 
 ``set_partitions`` caches its result only for masks of at most
 ``CACHED_BLOCK_SIZE`` = 6 bits: at ``NCSYM_MAX_N`` = 12 that is at most
@@ -353,23 +354,24 @@ def weighted_partition_sums(n: int, weight: Sequence[int]) -> list[int]:
     return total
 
 
-def weighted_partitions(n: int, weight: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Every partition of [n] all of whose blocks have nonzero weight, as its
-    tuple of block bitmasks, mapped to the product of its block weights.
+def weighted_partitions(n: int, weight: Sequence[int], key: Sequence) -> dict:
+    """Every partition of [n] all of whose blocks have nonzero weight, labeled
+    key[0] + sum_B key[B] and mapped to the product of its block weights.
 
-    weight is indexed by block bitmask, bit x for element x, so it has
-    2^(n+1) entries of which only the even masks are read.  Each block is
-    chosen as a submask holding the least unplaced element, so blocks come out
-    least element first and each partition is reached once; the keys are in
-    no particular order.
+    weight and key are indexed by block bitmask, bit x for element x, so they
+    have 2^(n+1) entries of which only mask 0 and the even masks are read, and
+    key[B] only where weight[B] is nonzero.  The labels must be distinct per
+    partition: one-mask tuples (key[B] = (B,), key[0] = ()) give the tuple of
+    block masks, and ``elements`` passes each block's share of a partition
+    code.  Each block is chosen as a submask holding the least unplaced
+    element, so blocks are added least element first and each partition is
+    reached once; the labels are in no particular order.
     """
-    out: dict[tuple[int, ...], int] = {}
-    chosen: list[int] = []
+    if not n:
+        return {key[0]: 1}
+    out: dict = {}
 
-    def place(remaining: int, coeff: int) -> None:
-        if not remaining:
-            out[tuple(chosen)] = coeff
-            return
+    def place(remaining: int, label, coeff: int) -> None:
         low = remaining & -remaining
         rest = remaining ^ low
         sub = rest
@@ -377,14 +379,15 @@ def weighted_partitions(n: int, weight: Sequence[int]) -> dict[tuple[int, ...], 
             block = sub | low
             value = weight[block]
             if value:
-                chosen.append(block)
-                place(remaining ^ block, coeff * value)
-                chosen.pop()
+                if sub == rest:
+                    out[label + key[block]] = coeff * value
+                else:
+                    place(rest ^ sub, label + key[block], coeff * value)
             if not sub:
                 break
             sub = (sub - 1) & rest
 
-    place((1 << (n + 1)) - 2, 1)
+    place((1 << (n + 1)) - 2, key[0], 1)
     return out
 
 

@@ -38,6 +38,7 @@ from ncsym.graphs import (
     _tree_from_pruefer,
     all_labeled_graphs,
     all_labeled_trees,
+    bond_mobius,
     complete_graph_union,
     components_partition,
     find_cycles,
@@ -231,6 +232,28 @@ class TestConnectedSubsetKernel:
         assert c[full_mask(g)] == 0
         for mask in range(2, full_mask(g) + 1, 2):
             assert (c[mask] != 0) == g.is_connected_subset(mask)
+
+
+class TestTwoMoebiusRecursions:
+    """graphs.bond_mobius solves the bond lattice's defining recursion and
+    connected_mobius the independent-set identity; their tables agree."""
+
+    def test_every_graph_on_five_vertices(self):
+        for g in all_labeled_graphs(5):
+            assert bond_mobius(g) == connected_mobius(g)
+
+    @pytest.mark.parametrize("n", range(6, 10))
+    def test_random_graphs(self, n):
+        for seed in range(3):
+            g = random_graph(n, 0.5, seed)
+            assert bond_mobius(g) == connected_mobius(g)
+
+    @pytest.mark.parametrize("g", [
+        complete_graph_union(SetPartition.single_block(12)),
+        graph(12, *((i, i + 1) for i in range(1, 12))),
+    ], ids=["k12", "path12"])
+    def test_twelve_vertices(self, g):
+        assert bond_mobius(g) == connected_mobius(g)
 
 
 class TestMethodDispatch:

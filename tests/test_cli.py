@@ -22,7 +22,6 @@ from ncsym.cli import main
 from ncsym.elements import MAX_CONVERSION_PAIRS
 from ncsym.errors import InvariantViolation
 from ncsym.graphs import (
-    MAX_LATTICE_ELEMENTS,
     MAX_VERTICES,
     LabeledGraph,
     all_labeled_graphs,
@@ -343,6 +342,23 @@ class TestBigIntegers:
         assert err == ("error: a coefficient has more than 640 digits, the integer "
                        "string limit of this Python (PYTHONINTMAXSTRDIGITS)\n")
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_coefficient_of_exactly_ten_to_the_limit_exits_3(self, tmp_path, mode):
+        # p{1/2} + p{1,2} = m{1/2} + 2 m{1,2}: two 640-digit counts of
+        # 5 * 10^639 sum to 10^640, the least count with 641 digits
+        half = "5" + "0" * 639
+        expr = self._element(tmp_path, [("1/2", half), ("1,2", half)])
+        src = str(Path(ncsym.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncsym.cli", "convert", "--expr", expr, "--from", "p",
+             "--to", "m", *mode], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == ("error: a coefficient has more than 640 digits, the integer "
+                               "string limit of this Python (PYTHONINTMAXSTRDIGITS)\n")
+
+
 class TestClassify:
     def test_path(self, p3_file, schema):
         code, out, _ = run_cli("classify", "--graph", p3_file, "--json")
@@ -528,18 +544,20 @@ class TestConversionCap:
 
 
 class TestOracleRouteLimits:
-    """--method mobius and --method definition refuse up front instead of
-    running for minutes past NCSYM_MAX_N's reach."""
+    """--method definition refuses up front instead of running for minutes
+    past NCSYM_MAX_N's reach; --method mobius costs what the kernel does and
+    refuses only beyond NCSYM_MAX_N."""
 
-    def test_mobius_on_k9_is_refused(self, tmp_path):
-        path = TestConversionCap.clique(tmp_path, 9)
-        start = time.perf_counter()
-        code, out, err = run_cli("expand", "--graph", path, "--basis", "p",
-                                 "--method", "mobius")
-        assert time.perf_counter() - start < 2
-        assert code == 3 and out == ""
+    def test_mobius_on_k9_prints_the_kernels_bytes(self, tmp_path):
         # K_9 has B_9 = 21,147 connected partitions
-        assert "21147" in err and str(MAX_LATTICE_ELEMENTS) in err
+        path = TestConversionCap.clique(tmp_path, 9)
+        _, expected, _ = run_cli("expand", "--graph", path, "--basis", "p")
+        start = time.perf_counter()
+        code, out, _ = run_cli("expand", "--graph", path, "--basis", "p",
+                               "--method", "mobius")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out == expected
+        assert out.count("p{") == 21147
 
     def test_definition_on_edgeless_twelve_is_refused(self, tmp_path):
         path = tmp_path / "e12"
@@ -556,7 +574,8 @@ class TestOracleRouteLimits:
         (12, [(i, i + 1) for i in range(1, 12)]),
     ], ids=["k8", "path12"])
     def test_mobius_runs_below_the_lattice_cap(self, tmp_path, n, edges):
-        # K_8 has 4,140 connected partitions, the 12-vertex path 2,048
+        # K_8 has 4,140 connected partitions, the 12-vertex path 2,048; the
+        # cap of graphs.MAX_LATTICE_ELEMENTS now bounds contraction_lattice only
         path = tmp_path / "g"
         path.write_text(format_graph(LabeledGraph(n, edges)))
         _, expected, _ = run_cli("expand", "--graph", str(path), "--basis", "p")

@@ -84,7 +84,8 @@ class TestPairCount:
         rng = random.Random(n)
         weight = [rng.randint(-2, 3) for _ in range(1 << (n + 1))]
         full = (1 << (n + 1)) - 2
-        total = sum(weighted_partitions(n, weight).values())
+        key = [()] + [(s,) for s in range(1, 1 << (n + 1))]
+        total = sum(weighted_partitions(n, weight, key).values())
         assert weighted_partition_sums(n, weight)[full] == total
 
     @pytest.mark.parametrize("seed", range(4))

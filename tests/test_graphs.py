@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncsym.graphs
 from helpers import bell_numbers
 from ncsym.errors import DomainError, GraphParseError, ResourceLimitError
 from ncsym.graphs import (
+    MAX_LATTICE_ELEMENTS,
     ContractionLattice,
     LabeledGraph,
     all_labeled_graphs,
@@ -133,6 +135,19 @@ class TestContractionLattice:
         # a record, not a tuple: membership is not a lattice query
         with pytest.raises(TypeError):
             parse_partition("1,2/3") in lattice
+
+    def test_refuses_more_elements_than_the_cap(self, monkeypatch):
+        # K_9 has B_9 = 21,147 connected partitions
+        with pytest.raises(ResourceLimitError) as err:
+            contraction_lattice(complete_graph_union(SetPartition.single_block(9)))
+        assert "21147" in str(err.value) and str(MAX_LATTICE_ELEMENTS) in str(err.value)
+        # K_5 has B_5 = 52: a cap of 52 holds it, and 51 refuses it
+        k5 = complete_graph_union(SetPartition.single_block(5))
+        monkeypatch.setattr(ncsym.graphs, "MAX_LATTICE_ELEMENTS", 52)
+        assert len(contraction_lattice(k5).elements) == 52
+        monkeypatch.setattr(ncsym.graphs, "MAX_LATTICE_ELEMENTS", 51)
+        with pytest.raises(ResourceLimitError):
+            contraction_lattice(k5)
 
     def test_respects_ground_set_limit(self, monkeypatch):
         monkeypatch.setenv("NCSYM_MAX_N", "3")

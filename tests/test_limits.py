@@ -1,4 +1,5 @@
-"""Every NCSYM_MAX_N refusal goes through partitions.check_ground_set."""
+"""Every NCSYM_MAX_N refusal goes through partitions.check_ground_set, and
+each size cap passes a request at the cap and refuses one past it."""
 
 import ast
 import re
@@ -10,12 +11,14 @@ import ncsym
 from ncsym.chromatic import (
     DELCON_BUDGET,
     SUBSET_EDGE_LIMIT,
+    _check_subset_limit,
     connected_mobius,
     csf_from_colorings,
+    csf_from_contraction_lattice,
     tree_x_expansion,
 )
 from ncsym.chromatic_bases import MAX_MATRIX_CELLS
-from ncsym.elements import MAX_CONVERSION_PAIRS
+from ncsym.elements import MAX_CONVERSION_PAIRS, check_conversion_pairs
 from ncsym.errors import DomainError, ResourceLimitError
 from ncsym.graphs import (
     MAX_LATTICE_ELEMENTS,
@@ -23,6 +26,7 @@ from ncsym.graphs import (
     LabeledGraph,
     all_labeled_graphs,
     all_labeled_trees,
+    bond_mobius,
     contraction_lattice,
     random_graph,
 )
@@ -36,6 +40,8 @@ GUARDED = {
     "all_labeled_trees": lambda: next(all_labeled_trees(4)),
     "random_graph": lambda: random_graph(4, 0.5, 1),
     "contraction_lattice": lambda: contraction_lattice(PATH4),
+    "bond_mobius": lambda: bond_mobius(PATH4),
+    "csf_from_contraction_lattice": lambda: csf_from_contraction_lattice(PATH4),
     "connected_mobius": lambda: connected_mobius(PATH4),
     "csf_from_colorings": lambda: csf_from_colorings(PATH4),
     "tree_x_expansion": lambda: tree_x_expansion(PATH4),
@@ -93,3 +99,19 @@ def test_readme_names_every_size_limit(name):
     # README groups digits with commas: 2,000,000
     value = re.escape(f"{SIZE_LIMITS[name]:,}")
     assert re.search(rf"(?<![\d,]){value}(?![\d,])", readme), name
+
+
+def test_conversion_pairs_at_the_cap_pass():
+    check_conversion_pairs(MAX_CONVERSION_PAIRS, "at the cap")
+    with pytest.raises(ResourceLimitError) as err:
+        check_conversion_pairs(MAX_CONVERSION_PAIRS + 1, "past the cap")
+    assert str(MAX_CONVERSION_PAIRS + 1) in str(err.value)
+
+
+def test_edge_subsets_at_the_edge_limit_pass():
+    # the check alone: the expansion of 22 edges would walk 4 million subsets
+    edges = [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]
+    _check_subset_limit(LabeledGraph(8, edges[:SUBSET_EDGE_LIMIT]))
+    with pytest.raises(ResourceLimitError) as err:
+        _check_subset_limit(LabeledGraph(8, edges[:SUBSET_EDGE_LIMIT + 1]))
+    assert f"graph has {SUBSET_EDGE_LIMIT + 1}" in str(err.value)

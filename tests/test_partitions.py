@@ -12,6 +12,7 @@ from helpers import (
     rgs_walk,
 )
 from ncsym import partitions
+from ncsym.elements import from_block_masks, from_weighted_blocks
 from ncsym.errors import DomainError
 from ncsym.graphs import random_graph
 from ncsym.partitions import (
@@ -128,19 +129,24 @@ class TestEnumeration:
             max_ground_set()
 
 
+def mask_keys(n):
+    # one-mask tuples label each partition by its block masks, least element first
+    return [()] + [(s,) for s in range(1, 1 << (n + 1))]
+
+
 class TestWeightedPartitions:
     # keys are block-mask tuples, least element first; the elements built from
     # them are checked in tests/test_chromatic.py
     @pytest.mark.parametrize("n", range(7))
     def test_unit_weights_give_every_partition(self, n):
-        found = weighted_partitions(n, [1] * (1 << (n + 1)))
+        found = weighted_partitions(n, [1] * (1 << (n + 1)), mask_keys(n))
         assert set(found) == {masks_of(pi) for pi in enumerate_partitions(n)}
         assert set(found.values()) == {1}
 
     def test_leaf_condition_drops_singletons(self):
         weight = [1] * 16
         weight[1 << 3] = 0
-        found = weighted_partitions(3, weight)
+        found = weighted_partitions(3, weight, mask_keys(3))
         assert set(found) == {masks_of(part(text)) for text in ["1,2,3", "1,3/2", "1/2,3"]}
 
 
@@ -166,7 +172,10 @@ def test_weighted_partitions_multiply_block_weights(n, seed, data):
         value = prod(weight[block_mask(b)] for b in pi.blocks)
         if value:
             expected[masks_of(pi)] = value
-    assert weighted_partitions(n, weight) == expected
+    found = weighted_partitions(n, weight, mask_keys(n))
+    assert found == expected
+    # the code-keyed element against the independent per-mask encoder
+    assert from_weighted_blocks("p", n, weight) == from_block_masks("p", n, found.items())
 
 
 class TestRefinement:

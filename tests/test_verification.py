@@ -3,14 +3,17 @@ import json
 
 import pytest
 
+import ncsym.chromatic
+import ncsym.elements
 import ncsym.verification
 from ncsym.chromatic import (
     chromatic_symmetric_function,
     tree_x_expansion,
 )
 from ncsym.cli import main
-from ncsym.elements import act, basis_term, convert, multiply, scale
+from ncsym.elements import _block_codes, act, basis_term, convert, multiply, scale
 from ncsym.errors import DomainError, InvariantViolation
+from ncsym.graphs import bond_mobius
 from ncsym.partitions import parse_partition
 from ncsym.verification import SUITES, run_suite
 
@@ -117,6 +120,38 @@ def test_agreement_fails_on_a_wrong_kernel(monkeypatch, capsys):
     assert main(["verify", "--suite", "agreement", "--n", "3"]) == 1
     assert "[connected subsets]" in capsys.readouterr().out
 
+
+
+def test_agreement_fails_on_a_wrong_lattice_mobius_entry(monkeypatch):
+    # negate m[V] of every connected graph: only the lattice route reads m
+    def wrong(graph):
+        m = bond_mobius(graph)
+        m[-2] = -m[-2]
+        return m
+
+    monkeypatch.setattr(ncsym.chromatic, "bond_mobius", wrong)
+    result = run_suite("agreement", 3)
+    assert result.total == 8 and result.passed == 4
+    assert all(f["instance"].endswith("[contraction lattice]") for f in result.failures)
+    assert main(["verify", "--suite", "agreement", "--n", "3"]) == 1
+
+
+def test_agreement_fails_on_a_wrong_block_code(monkeypatch):
+    # label the block {2, 3} as the blocks {2} and {3}; the edge-subset
+    # reference encodes each block on its own
+    def wrong(n, weight):
+        codes = _block_codes(n, weight)
+        codes[0b1100] = codes[0b100] + codes[0b1000]
+        return codes
+
+    monkeypatch.setattr(ncsym.elements, "_block_codes", wrong)
+    result = run_suite("agreement", 3)
+    # {2, 3} is a block of the kernel when it is an edge, and of the coloring
+    # definition when it is not
+    assert result.total == 8 and result.passed == 0
+    labels = {f["instance"].rsplit(" [", 1)[1] for f in result.failures}
+    assert labels == {"connected subsets]", "coloring definition]"}
+    assert main(["verify", "--suite", "agreement", "--n", "3"]) == 1
 
 
 def _negated(fn):
