@@ -56,13 +56,11 @@ from .errors import (
     ResourceLimitError,
 )
 from .graphs import (
-    ContractionLattice,
     LabeledGraph,
     all_labeled_graphs,
     all_labeled_trees,
     complete_graph_union,
     components_partition,
-    contraction_lattice,
     delete_edges,
     find_cycles,
     format_graph,

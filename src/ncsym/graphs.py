@@ -1,6 +1,6 @@
 """Labeled simple graphs on {1, ..., n} and the constructions the chromatic
-machinery needs: connected partitions, contraction lattices, corpora of
-graphs and trees, cycle search, and a line-oriented text format.
+machinery needs: connected partitions, the bond-lattice Moebius table,
+corpora of graphs and trees, cycle search, and a line-oriented text format.
 """
 
 from __future__ import annotations
@@ -16,15 +16,10 @@ from .partitions import (
     SetPartition,
     block_elements,
     check_ground_set,
-    weighted_partition_sums,
-    weighted_partitions,
 )
 
 # parse_graph refuses a larger 'n' header before anything is allocated
 MAX_VERTICES = 10_000
-# contraction_lattice refuses more connected partitions before listing them
-# as SetPartitions; K_8 has 4,140
-MAX_LATTICE_ELEMENTS = 5_000
 
 
 class LabeledGraph:
@@ -186,23 +181,6 @@ def is_clique_union(graph: LabeledGraph) -> bool:
     return True
 
 
-class ContractionLattice:
-    """The connected partitions of a graph with Moebius values off the bottom.
-
-    ``elements`` lists the partitions in a refinement-compatible order
-    (finer first); ``mobius0`` maps each element, in that order, to the
-    Moebius value of the interval from the all-singletons partition, which
-    is nonzero throughout.
-    """
-
-    __slots__ = ("elements", "mobius0")
-
-    def __init__(self, elements: tuple[SetPartition, ...],
-                 mobius0: dict[SetPartition, int]) -> None:
-        self.elements = elements
-        self.mobius0 = mobius0
-
-
 def bond_mobius(graph: LabeledGraph) -> list[int]:
     """The table m over vertex bitmasks (bit x for vertex x): m[S] is the
     Moebius value mu(0, 1) of the bond lattice L(G[S]), nonzero exactly when
@@ -242,26 +220,6 @@ def bond_mobius(graph: LabeledGraph) -> list[int]:
         else:
             whole[s] = total
     return m
-
-
-def contraction_lattice(graph: LabeledGraph) -> ContractionLattice:
-    """The connected partitions, finer first, each with mu(0, pi) = prod_B
-    m[B] from ``bond_mobius``.  Counts them first and refuses more than
-    MAX_LATTICE_ELEMENTS, since the record holds each as a SetPartition."""
-    n = graph.n
-    m = bond_mobius(graph)
-    count = weighted_partition_sums(n, list(map(bool, m)))[(1 << (n + 1)) - 2]
-    if count > MAX_LATTICE_ELEMENTS:
-        raise ResourceLimitError(
-            f"contraction lattice has {count} elements, "
-            f"over the cap of {MAX_LATTICE_ELEMENTS}")
-    # each partition labeled by its tuple of blocks, least element first
-    key = [()] + [(block_elements(s),) for s in range(1, 1 << (n + 1))]
-    # finer partitions first: any strict refinement has strictly more blocks
-    order = sorted(((SetPartition._raw(n, blocks), value)
-                    for blocks, value in weighted_partitions(n, m, key).items()),
-                   key=lambda item: (-len(item[0].blocks), item[0].rgs))
-    return ContractionLattice(tuple(pi for pi, _ in order), dict(order))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -28,8 +29,8 @@ from ncsym.elements import basis_term, convert, multiply, one
 from ncsym.errors import DomainError, InvariantViolation, ResourceLimitError
 from ncsym.graphs import (
     LabeledGraph,
+    bond_mobius,
     components_partition,
-    contraction_lattice,
     format_graph_line,
 )
 from ncsym.partitions import SetPartition, enumerate_partitions, parse_partition
@@ -111,9 +112,10 @@ class TestBuildBasis:
         assert rank_over_q(matrix) == size
         index = {pi: i for i, pi in enumerate(basis.order)}
         for i, pi in enumerate(basis.order):
-            # diagonal carries the lattice value, support refines pi
-            lattice = contraction_lattice(basis.graphs[i])
-            assert matrix[i][i] == lattice.mobius0[pi] != 0
+            # diagonal carries the lattice value mu(0, pi), support refines pi
+            m = bond_mobius(basis.graphs[i])
+            mobius0 = prod(m[sum(1 << x for x in block)] for block in pi.blocks)
+            assert matrix[i][i] == mobius0 != 0
             for j, sigma in enumerate(basis.order):
                 if matrix[i][j]:
                     assert sigma.refines(pi)

@@ -573,9 +573,7 @@ class TestOracleRouteLimits:
         (8, [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]),
         (12, [(i, i + 1) for i in range(1, 12)]),
     ], ids=["k8", "path12"])
-    def test_mobius_runs_below_the_lattice_cap(self, tmp_path, n, edges):
-        # K_8 has 4,140 connected partitions, the 12-vertex path 2,048; the
-        # cap of graphs.MAX_LATTICE_ELEMENTS now bounds contraction_lattice only
+    def test_mobius_prints_the_kernels_bytes(self, tmp_path, n, edges):
         path = tmp_path / "g"
         path.write_text(format_graph(LabeledGraph(n, edges)))
         _, expected, _ = run_cli("expand", "--graph", str(path), "--basis", "p")
@@ -743,8 +741,15 @@ class TestBasis:
         assert text == "\n".join(lines) + "\n"
 
     def test_bad_n_exits_2(self):
-        code, _, err = run_cli("basis", "--n", "99", "--strategy", "path")
-        assert code in (2, 3)
+        code, out, err = run_cli("basis", "--n", "-1", "--strategy", "path")
+        assert code == 2 and out == ""
+        assert err == "error: partition enumeration needs n >= 0, got -1\n"
+
+    def test_n_past_the_ground_set_cap_exits_3(self):
+        code, out, err = run_cli("basis", "--n", "13", "--strategy", "path")
+        assert code == 3 and out == ""
+        assert err == ("error: partition enumeration limited to n <= 12 "
+                       "(NCSYM_MAX_N), got 13\n")
 
     def test_dense_matrix_over_the_cell_cap_is_refused_up_front(self):
         start = time.perf_counter()

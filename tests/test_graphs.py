@@ -1,19 +1,18 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ncsym.graphs
 from helpers import bell_numbers
 from ncsym.errors import DomainError, GraphParseError, ResourceLimitError
 from ncsym.graphs import (
-    MAX_LATTICE_ELEMENTS,
-    ContractionLattice,
     LabeledGraph,
     all_labeled_graphs,
     all_labeled_trees,
+    bond_mobius,
     complete_graph_union,
     components_partition,
-    contraction_lattice,
     delete_edges,
     find_cycles,
     format_graph,
@@ -36,6 +35,14 @@ from ncsym.partitions import (
 
 def graph(n, *edges):
     return LabeledGraph(n, list(edges))
+
+
+def lattice_values(g):
+    """mu(0, pi) for each connected partition pi of g, from bond_mobius."""
+    m = bond_mobius(g)
+    values = {pi: prod(m[sum(1 << x for x in block)] for block in pi.blocks)
+              for pi in enumerate_partitions(g.n)}
+    return {pi: value for pi, value in values.items() if value}
 
 
 class TestConstruction:
@@ -102,57 +109,33 @@ class TestSurgery:
 
 
 class TestContractionLattice:
+    """bond_mobius(g)[S] is mu(0, 1) of the contraction lattice L(G[S]), and
+    mu(0, pi) in L(G) is its product over the blocks of pi, nonzero exactly
+    on the connected partitions."""
+
     def test_path_example(self):
-        lattice = contraction_lattice(graph(3, (1, 2), (2, 3)))
-        values = {pi.to_text(): v for pi, v in lattice.mobius0.items()}
+        values = {pi.to_text(): v
+                  for pi, v in lattice_values(graph(3, (1, 2), (2, 3))).items()}
         assert values == {"1/2/3": 1, "1,2/3": -1, "1/2,3": -1, "1,2,3": 1}
 
     def test_complete_graph_gives_whole_lattice(self):
         for n in (2, 3, 4):
             kn = complete_graph_union(SetPartition.single_block(n))
-            lattice = contraction_lattice(kn)
-            assert len(lattice.elements) == bell_numbers(n)[n]
-            for pi in lattice.elements:
-                assert lattice.mobius0[pi] == mobius_from_bottom(pi)
+            values = lattice_values(kn)
+            assert len(values) == bell_numbers(n)[n]
+            for pi, value in values.items():
+                assert value == mobius_from_bottom(pi)
 
     def test_edgeless_graph_is_trivial(self):
-        lattice = contraction_lattice(graph(3))
-        assert lattice.elements == (SetPartition.singletons(3),)
+        assert lattice_values(graph(3)) == {SetPartition.singletons(3): 1}
 
     def test_empty_graph(self):
-        lattice = contraction_lattice(graph(0))
-        assert lattice.elements == (SetPartition.empty(),)
-        assert lattice.mobius0 == {SetPartition.empty(): 1}
-
-    def test_is_a_record_of_elements_finer_first_and_their_values(self):
-        assert ContractionLattice.__slots__ == ("elements", "mobius0")
-        for n in range(5):
-            for g in all_labeled_graphs(n):
-                lattice = contraction_lattice(g)
-                assert tuple(lattice.mobius0) == lattice.elements
-                counts = [len(pi.blocks) for pi in lattice.elements]
-                assert counts == sorted(counts, reverse=True)
-        # a record, not a tuple: membership is not a lattice query
-        with pytest.raises(TypeError):
-            parse_partition("1,2/3") in lattice
-
-    def test_refuses_more_elements_than_the_cap(self, monkeypatch):
-        # K_9 has B_9 = 21,147 connected partitions
-        with pytest.raises(ResourceLimitError) as err:
-            contraction_lattice(complete_graph_union(SetPartition.single_block(9)))
-        assert "21147" in str(err.value) and str(MAX_LATTICE_ELEMENTS) in str(err.value)
-        # K_5 has B_5 = 52: a cap of 52 holds it, and 51 refuses it
-        k5 = complete_graph_union(SetPartition.single_block(5))
-        monkeypatch.setattr(ncsym.graphs, "MAX_LATTICE_ELEMENTS", 52)
-        assert len(contraction_lattice(k5).elements) == 52
-        monkeypatch.setattr(ncsym.graphs, "MAX_LATTICE_ELEMENTS", 51)
-        with pytest.raises(ResourceLimitError):
-            contraction_lattice(k5)
+        assert lattice_values(graph(0)) == {SetPartition.empty(): 1}
 
     def test_respects_ground_set_limit(self, monkeypatch):
         monkeypatch.setenv("NCSYM_MAX_N", "3")
         with pytest.raises(ResourceLimitError) as err:
-            contraction_lattice(graph(4, (1, 2)))
+            bond_mobius(graph(4, (1, 2)))
         assert "3" in str(err.value)
 
 

@@ -3,31 +3,33 @@ each size cap passes a request at the cap and refuses one past it."""
 
 import ast
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-import ncsym
+import ncsym.chromatic
+import ncsym.chromatic_bases
 from ncsym.chromatic import (
     DELCON_BUDGET,
     SUBSET_EDGE_LIMIT,
     _check_subset_limit,
+    chromatic_symmetric_function,
     connected_mobius,
+    csf_by_deletion_contraction,
     csf_from_colorings,
     csf_from_contraction_lattice,
     tree_x_expansion,
 )
-from ncsym.chromatic_bases import MAX_MATRIX_CELLS
+from ncsym.chromatic_bases import MAX_MATRIX_CELLS, check_matrix_size
 from ncsym.elements import MAX_CONVERSION_PAIRS, check_conversion_pairs
 from ncsym.errors import DomainError, ResourceLimitError
 from ncsym.graphs import (
-    MAX_LATTICE_ELEMENTS,
     MAX_VERTICES,
     LabeledGraph,
     all_labeled_graphs,
     all_labeled_trees,
     bond_mobius,
-    contraction_lattice,
     random_graph,
 )
 from ncsym.partitions import DEFAULT_MAX_GROUND_SET, enumerate_partitions
@@ -39,7 +41,6 @@ GUARDED = {
     "all_labeled_graphs": lambda: next(all_labeled_graphs(4)),
     "all_labeled_trees": lambda: next(all_labeled_trees(4)),
     "random_graph": lambda: random_graph(4, 0.5, 1),
-    "contraction_lattice": lambda: contraction_lattice(PATH4),
     "bond_mobius": lambda: bond_mobius(PATH4),
     "csf_from_contraction_lattice": lambda: csf_from_contraction_lattice(PATH4),
     "connected_mobius": lambda: connected_mobius(PATH4),
@@ -89,7 +90,6 @@ SIZE_LIMITS = {
     "DEFAULT_MAX_GROUND_SET": DEFAULT_MAX_GROUND_SET,
     "SUBSET_EDGE_LIMIT": SUBSET_EDGE_LIMIT,
     "DELCON_BUDGET": DELCON_BUDGET,
-    "MAX_LATTICE_ELEMENTS": MAX_LATTICE_ELEMENTS,
 }
 
 
@@ -115,3 +115,24 @@ def test_edge_subsets_at_the_edge_limit_pass():
     with pytest.raises(ResourceLimitError) as err:
         _check_subset_limit(LabeledGraph(8, edges[:SUBSET_EDGE_LIMIT + 1]))
     assert f"graph has {SUBSET_EDGE_LIMIT + 1}" in str(err.value)
+
+
+def test_delcon_budget_at_the_count_passes(monkeypatch):
+    # K_5 expands exactly 32 distinct subproblems
+    k5 = LabeledGraph(5, combinations(range(1, 6), 2))
+    monkeypatch.setattr(ncsym.chromatic, "DELCON_BUDGET", 32)
+    assert csf_by_deletion_contraction(k5) == chromatic_symmetric_function(k5)
+    monkeypatch.setattr(ncsym.chromatic, "DELCON_BUDGET", 31)
+    with pytest.raises(ResourceLimitError) as err:
+        csf_by_deletion_contraction(k5)
+    assert "limit 31 expansions" in str(err.value)
+
+
+def test_matrix_cells_at_the_cap_pass(monkeypatch):
+    # the degree-5 matrix has B_5^2 = 2,704 cells
+    monkeypatch.setattr(ncsym.chromatic_bases, "MAX_MATRIX_CELLS", 2704)
+    check_matrix_size(5)
+    monkeypatch.setattr(ncsym.chromatic_bases, "MAX_MATRIX_CELLS", 2703)
+    with pytest.raises(ResourceLimitError) as err:
+        check_matrix_size(5)
+    assert "2704" in str(err.value)

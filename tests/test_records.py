@@ -12,7 +12,6 @@ from ncsym import (
     SetPartition,
     build_basis,
     classify_e_positivity,
-    contraction_lattice,
     x_sign_report,
 )
 from ncsym.verification import run_suite
@@ -106,10 +105,3 @@ def test_suite_result():
     result.failures.append({"instance": "i", "expected": "e", "actual": "a"})
     assert not result.ok
     assert result.to_json_dict()["failed"] == 1
-
-
-def test_contraction_lattice():
-    lattice = contraction_lattice(PATH3)
-    assert attribute_names(lattice) == ["elements", "mobius0"]
-    assert lattice.elements == parts("1/2/3", "1,2/3", "1/2,3", "1,2,3")
-    assert lattice.mobius0 == dict(zip(lattice.elements, (1, -1, -1, 1)))
