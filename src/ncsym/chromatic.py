@@ -90,10 +90,8 @@ SUBSET_EDGE_LIMIT = 22
 DELCON_BUDGET = 1 << 21
 
 
-def clear_caches() -> None:
-    """Drop the set partitions of small masks that ``partitions`` caches; no
-    route here keeps state between calls."""
-    clear_partition_caches()
+# partitions holds the one cache; the alias stays for callers of this module
+clear_caches = clear_partition_caches
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +301,7 @@ def csf_by_deletion_contraction(graph: LabeledGraph) -> NCSymElement:
             bit_u, bit_v = 1 << u, 1 << v
             for blocks, coeff in expand(verts ^ bit_v, contracted).items():
                 lifted = tuple(b | bit_v if b & bit_u else b for b in blocks)
-                total = terms.get(lifted, 0) - coeff
-                if total:
-                    terms[lifted] = total
-                else:
-                    del terms[lifted]
+                terms[lifted] = terms.get(lifted, 0) - coeff
         memo[key] = terms
         return terms
 

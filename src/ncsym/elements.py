@@ -40,6 +40,8 @@ codes and reduce its coefficient on its own.
 
 ``convert`` applies the Rosas-Sagan closed forms on the codes, with each
 support partition decoded into block masks, and stores the codes it makes.
+A refinement starts from the support's own code and skips one-element
+blocks: each is its own only refinement, with weight 1 in every basis.
 The counts stay ints: a step out of p into e or h also multiplies the
 denominator by (n - 1)!, which every |mu(0, pi)| divides, and the result is
 reduced once.  Conversions between m and p sum over coarsenings, the set
@@ -91,9 +93,8 @@ _EXACT_BELL = 20
 _ZERO = Fraction(0)
 
 
-def clear_caches() -> None:
-    """Drop the set partitions of small masks that ``partitions`` caches."""
-    clear_partition_caches()
+# partitions holds the one cache; the alias stays for callers of this module
+clear_caches = clear_partition_caches
 
 
 def _accumulate(target: dict, key, delta: int | Fraction) -> None:
@@ -199,46 +200,40 @@ class _Memo(dict):
         return value
 
 
-def _refine(support: list, n: int, weight, factor=None) -> dict[int, int]:
-    """Sum coeff * factor(masks) * prod_B weight(parts of B) over every
-    refinement of every support partition; a refinement is one set partition
-    of each block, so per block mask its choices are listed once."""
+def _refine(support: list, n: int, weight) -> dict[int, int]:
+    """Sum coeff * prod_B weight(parts of B) over every refinement of every
+    support (code, masks, coeff); a refinement is one set partition of each
+    block.  Each output starts from the support's code, and a block that
+    splits lists its choices once per mask, each as the change it makes to
+    the code; a one-element block has one choice, itself with weight 1."""
     code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
-    choices_of: dict[int, list[tuple[int, int]]] = {}
+    choices_of = _Memo(lambda mask: [(sum(map(code_of, parts)) - code_of(mask), weight(parts))
+                                     for parts in set_partitions(mask)])
     out: dict[int, int] = {}
-    for masks, coeff in support:
-        per_block = []
-        for mask in masks:
-            choices = choices_of.get(mask)
-            if choices is None:
-                choices = choices_of[mask] = [
-                    (sum(map(code_of, parts)), weight(parts))
-                    for parts in set_partitions(mask)]
-            per_block.append(choices)
-        if factor is not None:
-            coeff *= factor(masks)
-        # the longest list goes innermost, so the partial products stay short
-        per_block.sort(key=len)
+    for start, masks, coeff in support:
+        # only the blocks that split have a choice; the longest list goes
+        # innermost, so the partial products stay short
+        per_block = sorted((choices_of[mask] for mask in masks if mask & (mask - 1)), key=len)
         last = per_block.pop() if per_block else [(0, 1)]
-        partial = [(0, coeff)]
+        partial = [(start, coeff)]
         for choices in per_block:
-            partial = [(code + part, value * w)
-                       for code, value in partial for part, w in choices]
+            partial = [(code + delta, value * w)
+                       for code, value in partial for delta, w in choices]
         for code, value in partial:
-            for part, w in last:
-                key = code + part
+            for delta, w in last:
+                key = code + delta
                 out[key] = out.get(key, 0) + value * w
     return out
 
 
 def _coarsen(support: list, n: int, mu: list[int] | None) -> dict[int, int]:
-    """Sum coeff * weight over every coarsening of every support partition:
-    a grouping of its k blocks, i.e. a set partition of range(k), weighted by
-    prod_groups mu[size] when mu is given, else by 1."""
+    """Sum coeff * weight over every coarsening of every support (code,
+    masks, coeff): a grouping of its k blocks, i.e. a set partition of
+    range(k), weighted by prod_groups mu[size] when mu is given, else by 1."""
     groupings: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     spread_of = _Memo(lambda mask: _spread(mask, n)).__getitem__
     out: dict[int, int] = {}
-    for masks, coeff in support:
+    for _, masks, coeff in support:
         k = len(masks)
         table = groupings.get(k)
         if table is None:
@@ -275,13 +270,14 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
     """
     basis = target if source == "p" else source
     blocks = _decoder(n, [1 << x for x in range(n + 1)])
-    support = [(list(map(sum, blocks(code))), coeff) for code, coeff in terms.items() if coeff]
+    support = [(code, list(map(sum, blocks(code))), coeff)
+               for code, coeff in terms.items() if coeff]
     if basis == "m":
-        pairs = sum(_bell(len(masks)) for masks, _ in support)
-        largest = max((len(masks) for masks, _ in support), default=0)
+        pairs = sum(_bell(len(masks)) for _, masks, _ in support)
+        largest = max((len(masks) for _, masks, _ in support), default=0)
     else:
-        pairs = sum(prod(_bell(mask.bit_count()) for mask in masks) for masks, _ in support)
-        largest = max((mask.bit_count() for masks, _ in support for mask in masks), default=0)
+        pairs = sum(prod(_bell(mask.bit_count()) for mask in masks) for _, masks, _ in support)
+        largest = max((mask.bit_count() for _, masks, _ in support for mask in masks), default=0)
     check_conversion_pairs(pairs, f"{source} -> {target}")
     # Moebius values are needed only up to the largest block or block count
     mu = [1, 1]
@@ -291,8 +287,6 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
         return _coarsen(support, n, mu if source == "m" else None)
     if target == "x":
         return _refine(support, n, lambda parts: 1)
-    if source == "x":
-        return _refine(support, n, lambda parts: mu[len(parts)])
     sign = abs if "h" in (source, target) else (lambda value: value)
 
     def bottom(blocks: Iterable[int]) -> int:
@@ -301,8 +295,10 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
 
     if source == "p":
         top = factorial(n - 1) if n else 1
-        return _refine(support, n, lambda parts: mu[len(parts)],
-                       lambda masks: top // bottom(masks))
+        support = [(code, masks, coeff * (top // bottom(masks)))
+                   for code, masks, coeff in support]
+    if source in ("p", "x"):
+        return _refine(support, n, lambda parts: mu[len(parts)])
     return _refine(support, n, bottom)
 
 

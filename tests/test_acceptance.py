@@ -9,9 +9,7 @@ random graphs each at n = 6 and n = 7.
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-
-import pytest
+from math import prod
 
 from helpers import collapse_words, rank_over_q, sym_monomial_expansion
 from ncsym.chromatic import (

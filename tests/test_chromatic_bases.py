@@ -25,7 +25,7 @@ from ncsym.chromatic_bases import (
     strategy_from_generators,
     transition_matrix,
 )
-from ncsym.elements import basis_term, convert, multiply, one
+from ncsym.elements import basis_term, multiply, one
 from ncsym.errors import DomainError, InvariantViolation, ResourceLimitError
 from ncsym.graphs import (
     LabeledGraph,

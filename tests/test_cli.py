@@ -251,6 +251,18 @@ class TestConvert:
         assert proc.stderr == ("error: blocks do not cover the ground set; "
                                "smallest missing element 2\n")
 
+    def test_wide_singleton_term_converts_in_little_memory(self, tmp_path):
+        # every block is a singleton, so nothing is refined; a memo of one
+        # full-width code per block once needed 866 MB here
+        text = "/".join(map(str, range(1, 20001)))
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"basis": "p", "degree": 20000, "terms": [
+            {"partition": text, "num": 1, "den": 1}]}))
+        proc = run_cli_limited("convert", "--expr", str(path), "--from", "p", "--to", "x",
+                               memory_mb=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"x{{{text}}}\n"
+
     def test_round_trip_through_files(self, p3_file, tmp_path, schema):
         code, out, _ = run_cli("expand", "--graph", p3_file, "--basis", "x",
                                "--json")

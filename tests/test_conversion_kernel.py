@@ -11,7 +11,7 @@ from math import comb, prod
 import pytest
 
 from helpers import bell_numbers, convert_by_columns
-from ncsym import elements, partitions
+from ncsym import chromatic, elements, partitions
 from ncsym.chromatic import chromatic_symmetric_function, conversion_pairs, csf_from_colorings
 from ncsym.elements import (
     BASES,
@@ -133,19 +133,23 @@ class TestRefusal:
 
 class TestCaches:
     def test_only_small_blocks_are_cached(self):
-        elements.clear_caches()
+        partitions.clear_caches()
         convert(basis_term("p", SetPartition.single_block(8)), "x")
         cached = partitions._small_mask_partitions.cache_info().currsize
         # at most the submasks of {1..8} with up to CACHED_BLOCK_SIZE elements
         assert 0 < cached <= sum(comb(8, k) for k in range(partitions.CACHED_BLOCK_SIZE + 1))
         partitions.set_partitions(sum(1 << x for x in range(1, 9)))
         assert partitions._small_mask_partitions.cache_info().currsize == cached
-        elements.clear_caches()
+        partitions.clear_caches()
         assert partitions._small_mask_partitions.cache_info().currsize == 0
+
+    def test_module_aliases_clear_the_one_cache(self):
+        assert elements.clear_caches is partitions.clear_caches
+        assert chromatic.clear_caches is partitions.clear_caches
 
     def test_results_do_not_depend_on_cache_state(self):
         f = chromatic_symmetric_function(random_graph(7, 0.5, 4))
-        elements.clear_caches()
+        partitions.clear_caches()
         cold = {target: convert(f, target) for target in "mehx"}
         warm = {target: convert(f, target) for target in "mehx"}
         for target in "mehx":

@@ -94,6 +94,14 @@ class TestConversions:
             start = basis_term(basis, pi)
             assert convert(convert(start, "p"), basis) == start
 
+    @pytest.mark.parametrize("target", ["x", "e", "h"])
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    def test_singletons_refine_only_to_themselves(self, target, n):
+        # no block splits, and the p -> e/h scaling (n-1)!/mu(0, 0) cancels
+        pi = SetPartition.singletons(n)
+        result = convert(basis_term("p", pi), target)
+        assert result.basis == target and result == basis_term(target, pi)
+
     def test_conversion_preserves_value_under_word_expansion(self):
         for n in range(1, 5):
             for pi in enumerate_partitions(n):
@@ -196,6 +204,75 @@ class TestArithmetic:
                         assert multiply(basis_term("h", pi),
                                         basis_term("h", sigma)) == \
                             basis_term("h", pi.slash(sigma))
+
+
+class TestOperators:
+    def f(self):
+        return term("p", "1,2") + term("p", "1/2", Fraction(1, 3))
+
+    def test_match_the_module_functions(self):
+        f, g = self.f(), term("x", "1,2")
+        assert -f == scale(f, -1)
+        assert f * g == multiply(f, g)
+        assert 2 * f == scale(f, 2)
+        assert f * Fraction(1, 3) == scale(f, Fraction(1, 3))
+        assert repr(f) == "<NCSymElement p{1,2} + 1/3*p{1/2}>"
+
+    def test_foreign_operands(self):
+        f = self.f()
+        with pytest.raises(TypeError):
+            f * "x"
+        with pytest.raises(TypeError):
+            f + 1
+        assert (f == 3) is False
+
+    def test_zero_coefficient_term_is_zero(self):
+        zero = basis_term("e", parse_partition("1,2/3"), 0)
+        assert zero.is_zero()
+        assert zero == NCSymElement.zero("e", 3)
+
+
+class TestSymElement:
+    def lam(self, *parts):
+        return IntegerPartition(parts)
+
+    def test_arithmetic(self):
+        a = sym_basis_term("p", self.lam(2, 1), 3)
+        b = sym_basis_term("p", self.lam(1, 1, 1), Fraction(1, 2))
+        both = a + b
+        assert both.terms == {self.lam(2, 1): 3, self.lam(1, 1, 1): Fraction(1, 2)}
+        assert (both - a) == b
+        assert (a - a).is_zero()
+        assert -a == sym_basis_term("p", self.lam(2, 1), -3)
+        assert 2 * a == a * 2 == sym_basis_term("p", self.lam(2, 1), 6)
+        assert (a * 0).is_zero() and (0 * a).is_zero()
+        assert (a * 0).degree == 3
+        assert a * Fraction(1, 3) == sym_basis_term("p", self.lam(2, 1))
+
+    def test_product_is_multiply_sym(self):
+        a = sym_basis_term("p", self.lam(2, 1), 3)
+        b = sym_basis_term("p", self.lam(1, 1), 2) + sym_basis_term("p", self.lam(2))
+        assert a * b == multiply_sym(a, b)
+        assert a * b == sym_basis_term("p", self.lam(2, 1, 1, 1), 6) \
+            + sym_basis_term("p", self.lam(2, 2, 1), 3)
+
+    def test_hash_and_repr(self):
+        a = sym_basis_term("p", self.lam(2, 1), 3)
+        assert hash(a) == hash(sym_basis_term("p", self.lam(2, 1), 3))
+        assert len({a, a * 1, a * 2}) == 2
+        assert repr(a) == "<SymElement 3*p(2,1)>"
+        assert repr(SymElement.zero("e", 4)) == "<SymElement 0>"
+
+    def test_mismatches_are_domain_errors(self):
+        p21 = sym_basis_term("p", self.lam(2, 1))
+        with pytest.raises(DomainError):
+            p21 + sym_basis_term("p", self.lam(1))
+        with pytest.raises(DomainError):
+            p21 + sym_basis_term("e", self.lam(2, 1))
+        with pytest.raises(DomainError):
+            multiply_sym(p21, sym_basis_term("m", self.lam(1)))
+        with pytest.raises(DomainError):
+            sym_basis_term("h", self.lam(1)) * p21
 
 
 class TestInduce:

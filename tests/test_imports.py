@@ -11,6 +11,7 @@ import ncsym
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(p for p in Path(ncsym.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +32,7 @@ def test_detector_flags_an_unused_name():
     assert unused_imports(source) == ["factorial"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

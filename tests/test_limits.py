@@ -58,6 +58,12 @@ def test_entry_point_refuses_above_the_cap(name, monkeypatch):
     assert "n <= 3 (NCSYM_MAX_N), got 4" in str(err.value)
 
 
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_entry_point_runs_at_the_cap(name, monkeypatch):
+    monkeypatch.setenv("NCSYM_MAX_N", "4")
+    GUARDED[name]()
+
+
 @pytest.mark.parametrize("call", [
     lambda: enumerate_partitions(-1),
     lambda: next(all_labeled_graphs(-1)),

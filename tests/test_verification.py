@@ -92,6 +92,14 @@ def test_agreement_sampled_runs_are_seed_stable():
     assert a.total == 50
 
 
+@pytest.mark.parametrize("suite", ["trees", "multiplicativity"])
+def test_sampled_suites_above_six_pass_and_are_seed_stable(suite):
+    # above n = 6 both suites draw 50 instances instead of listing them all
+    a = run_suite(suite, 7, seed=3)
+    assert (a.total, a.passed, a.failures) == (50, 50, [])
+    assert a.to_json_dict() == run_suite(suite, 7, seed=3).to_json_dict()
+
+
 def test_result_json_shape():
     data = run_suite("xsign-scan", 2).to_json_dict()
     assert data["suite"] == "xsign-scan"
