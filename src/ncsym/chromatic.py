@@ -40,12 +40,11 @@ tree expansion in the x basis, and the matching identity tying single x
 terms to clique unions.
 
 No route caches its results: one Y_G costs one O(3^n) table, which is cheap
-to recompute on the graphs that repeat.  Of the 7,104 Y_G that ``verify
---suite multiplicativity --n 6`` computes, 3,886 repeat an earlier graph,
-and the suite takes the same 1.9 s of CPU with or without a cache.  The module
-keeps no state: deletion-contraction memoizes its subproblems for one call
-only, so its result and its use of the expansion budget do not depend on
-what ran before.
+to recompute on the graphs that repeat.  Of the 4,566 Y_G that ``verify
+--suite multiplicativity --n 6`` computes, 1,348 repeat an earlier graph.
+The module keeps no state: deletion-contraction memoizes its subproblems
+for one call only, so its result and its use of the expansion budget do
+not depend on what ran before.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from .elements import (
     SymElement,
     basis_term,
     check_conversion_pairs,
+    clear_caches as clear_element_caches,
     convert,
     from_block_masks,
     from_weighted_blocks,
@@ -81,7 +81,6 @@ from .partitions import (
     bell_number,
     block_elements,
     check_ground_set,
-    clear_caches as clear_partition_caches,
     weighted_partition_sums,
     weighted_partitions,
 )
@@ -90,8 +89,8 @@ SUBSET_EDGE_LIMIT = 22
 DELCON_BUDGET = 1 << 21
 
 
-# partitions holds the one cache; the alias stays for callers of this module
-clear_caches = clear_partition_caches
+# elements drops every cache; the alias stays for callers of this module
+clear_caches = clear_element_caches
 
 
 # ---------------------------------------------------------------------------

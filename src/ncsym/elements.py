@@ -38,26 +38,33 @@ it.  ``str``, ``element_to_json_dict``, the writers ``iter_text`` and
 coefficient, never build it: they decode each term's text from the sorted
 codes and reduce its coefficient on its own.
 
-``convert`` applies the Rosas-Sagan closed forms on the codes, with each
-support partition decoded into block masks, and stores the codes it makes.
-A refinement starts from the support's own code and skips one-element
-blocks: each is its own only refinement, with weight 1 in every basis.
-The counts stay ints: a step out of p into e or h also multiplies the
-denominator by (n - 1)!, which every |mu(0, pi)| divides, and the result is
-reduced once.  Conversions between m and p sum over coarsenings, the set
-partitions of a partition's k blocks; those between x, e or h and p over
-refinements, one set partition of each block.
+``convert`` applies the Rosas-Sagan closed forms on the codes, one step
+into p and one out of it.  A step sums coeff times the column of each
+support code, the expansion of that one basis element, and stores the codes
+it makes.  It decodes a code into the elements of each block and builds a
+bitmask only for a block that splits: a one-element block is its own only
+refinement, with weight 1 in every basis.  The counts stay ints: a step out
+of p into e or h also multiplies the denominator by (n - 1)!, which every
+|mu(0, pi)| divides, and the result is reduced once.  Conversions between m
+and p sum over coarsenings, the set partitions of a partition's k blocks;
+those between x, e or h and p over refinements, one set partition of each
+block.
 
 Both come from ``partitions.set_partitions``, which caches the set partitions
-of small masks; this module keeps no cache of its own.  A zero element
-converts to the zero element of the target at once.
+of small masks.  Up to degree ``CACHED_BLOCK_SIZE`` = 6 a step also keeps
+its tables and the column of every code it meets, keyed by degree, source
+and target: at most 279 codes in 8 directions, 2,232 columns.  That is the
+``set_partitions`` policy applied to degree, the same computation cached
+only below the bound, and ``clear_caches`` drops every cache.  Above the
+bound a step builds its tables for one call and each column only while it
+sums it.  A zero element converts to the zero element of the target at once.
 
-Before each step ``convert`` counts the pairs it will visit,
-sum_pi prod_B B_|B| over the support for x, e and h and sum_pi B_k(pi) for
-m, and raises ``ResourceLimitError`` above ``MAX_CONVERSION_PAIRS`` =
-2,000,000.  Y of K_9 (1,606,137 pairs) converts into any basis in about 1 s
-at under 60 MB; K_10 (16.7 million) and K_12 (2.28 billion) are refused.
-A step makes at most one output term per pair.  The single term
+Before each step above the bound ``convert`` counts the pairs it will
+visit, sum_pi prod_B B_|B| over the support for x, e and h and sum_pi
+B_k(pi) for m, and raises ``ResourceLimitError`` above
+``MAX_CONVERSION_PAIRS`` = 2,000,000.  Y of K_9 (1,606,137 pairs) converts
+into any basis in about 1 s at under 60 MB; K_10 (16.7 million) and K_12
+(2.28 billion) are refused.  A step makes at most one output term per pair.  The single term
 p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at 188 MB,
 about 260 bytes a term over the 17 MB of the interpreter.
 """
@@ -65,6 +72,7 @@ about 260 bytes a term over the 17 MB of the interpreter.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
@@ -72,6 +80,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
+    CACHED_BLOCK_SIZE,
     IntegerPartition,
     Permutation,
     SetPartition,
@@ -93,8 +102,12 @@ _EXACT_BELL = 20
 _ZERO = Fraction(0)
 
 
-# partitions holds the one cache; the alias stays for callers of this module
-clear_caches = clear_partition_caches
+def clear_caches() -> None:
+    """Drop every cache: the set partitions of small masks, the Bell
+    numbers, and the conversion tables and columns of small degrees."""
+    clear_partition_caches()
+    _columns.cache_clear()
+    _kept_change_of_basis.cache_clear()
 
 
 def _accumulate(target: dict, key, delta: int | Fraction) -> None:
@@ -189,7 +202,7 @@ def _bell(k: int) -> int:
 
 
 class _Memo(dict):
-    """A dict that fills a missing key with fn(key); lives for one call."""
+    """A dict that fills a missing key with fn(key)."""
 
     def __init__(self, fn):
         super().__init__()
@@ -200,66 +213,16 @@ class _Memo(dict):
         return value
 
 
-def _refine(support: list, n: int, weight) -> dict[int, int]:
-    """Sum coeff * prod_B weight(parts of B) over every refinement of every
-    support (code, masks, coeff); a refinement is one set partition of each
-    block.  Each output starts from the support's code, and a block that
-    splits lists its choices once per mask, each as the change it makes to
-    the code; a one-element block has one choice, itself with weight 1."""
-    code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
-    choices_of = _Memo(lambda mask: [(sum(map(code_of, parts)) - code_of(mask), weight(parts))
-                                     for parts in set_partitions(mask)])
-    out: dict[int, int] = {}
-    for start, masks, coeff in support:
-        # only the blocks that split have a choice; the longest list goes
-        # innermost, so the partial products stay short
-        per_block = sorted((choices_of[mask] for mask in masks if mask & (mask - 1)), key=len)
-        last = per_block.pop() if per_block else [(0, 1)]
-        partial = [(start, coeff)]
-        for choices in per_block:
-            partial = [(code + delta, value * w)
-                       for code, value in partial for delta, w in choices]
-        for code, value in partial:
-            for delta, w in last:
-                key = code + delta
-                out[key] = out.get(key, 0) + value * w
-    return out
-
-
-def _coarsen(support: list, n: int, mu: list[int] | None) -> dict[int, int]:
-    """Sum coeff * weight over every coarsening of every support (code,
-    masks, coeff): a grouping of its k blocks, i.e. a set partition of
-    range(k), weighted by prod_groups mu[size] when mu is given, else by 1."""
-    groupings: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    spread_of = _Memo(lambda mask: _spread(mask, n)).__getitem__
-    out: dict[int, int] = {}
-    for _, masks, coeff in support:
-        k = len(masks)
-        table = groupings.get(k)
-        if table is None:
-            table = groupings[k] = [
-                (groups, prod(mu[g.bit_count()] for g in groups) if mu else 1)
-                for groups in set_partitions((1 << k) - 1)]
-        # merged[s]: the code of the union of the blocks indexed by the bits
-        # of s, whose least element is that of its first block
-        spreads = list(map(spread_of, masks))
-        leasts = list(map(_least, masks))
-        spread = [0] * (1 << k)
-        merged = [0] * (1 << k)
-        for s in range(1, 1 << k):
-            low = s & -s
-            first = low.bit_length() - 1
-            spread[s] = spread[s ^ low] + spreads[first]
-            merged[s] = leasts[first] * spread[s]
-        for groups, w in table:
-            key = sum(map(merged.__getitem__, groups))
-            out[key] = out.get(key, 0) + coeff * w
-    return out
-
-
-def _convert_codes(terms: dict[int, int], source: str, target: str,
-                   n: int) -> dict[int, int]:
-    """One Rosas-Sagan change of basis on codes, into or out of p.
+def _change_of_basis(n: int, source: str, target: str):
+    """One Rosas-Sagan change of basis of degree n, into or out of p, as
+    three functions: decode(code), the blocks of a partition as the change
+    needs them; pairs(blocks), the number of pairs its column visits; and
+    column(code, blocks), the expansion of b_code alone.  A column (start,
+    value, head, last) stands for the codes start + the sum of one delta
+    from each (deltas, weights) of head and of last, with counts value *
+    the product of their weights.  All three share tables filled on first
+    use: the refinements of each block, or the groupings of each block
+    count.
 
     b_pi over p: m sums mu(pi, sigma) over coarsenings; x sums mu(sigma, pi),
     e sums mu(0, sigma) and h sums |mu(0, sigma)| over refinements.  p_pi
@@ -269,37 +232,136 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
     product of mu[j] = (-1)^(j-1) (j-1)!.
     """
     basis = target if source == "p" else source
-    blocks = _decoder(n, [1 << x for x in range(n + 1)])
-    support = [(code, list(map(sum, blocks(code))), coeff)
-               for code, coeff in terms.items() if coeff]
+    # each block as the list of its elements, so no singleton needs a mask
+    blocks_of = _decoder(n, range(n + 1))
+    bit = (1).__lshift__
+    # filled only for the sizes that passed the pair check
+    mu = _Memo(lambda j: factorial(j - 1) if j % 2 else -factorial(j - 1))
     if basis == "m":
-        pairs = sum(_bell(len(masks)) for _, masks, _ in support)
-        largest = max((len(masks) for _, masks, _ in support), default=0)
-    else:
-        pairs = sum(prod(_bell(mask.bit_count()) for mask in masks) for _, masks, _ in support)
-        largest = max((mask.bit_count() for _, masks, _ in support for mask in masks), default=0)
-    check_conversion_pairs(pairs, f"{source} -> {target}")
-    # Moebius values are needed only up to the largest block or block count
-    mu = [1, 1]
-    for j in range(1, largest):
-        mu.append(-j * mu[-1])
-    if basis == "m":
-        return _coarsen(support, n, mu if source == "m" else None)
-    if target == "x":
-        return _refine(support, n, lambda parts: 1)
+        return _coarsenings(n, blocks_of, bit, mu, source == "m")
     sign = abs if "h" in (source, target) else (lambda value: value)
 
     def bottom(blocks: Iterable[int]) -> int:
         # mu(0, .) of the partition into these blocks, |mu(0, .)| for h
         return sign(prod(map(mu.__getitem__, map(int.bit_count, blocks))))
 
-    if source == "p":
-        top = factorial(n - 1) if n else 1
-        support = [(code, masks, coeff * (top // bottom(masks)))
-                   for code, masks, coeff in support]
-    if source in ("p", "x"):
-        return _refine(support, n, lambda parts: mu[len(parts)])
-    return _refine(support, n, bottom)
+    if target == "x":
+        weight = lambda parts: 1
+    elif source in ("p", "x"):
+        weight = lambda parts: mu[len(parts)]
+    else:
+        weight = bottom
+    code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
+
+    def refinements(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # the change each set partition of the block makes to the code, and
+        # the weights
+        every = set_partitions(mask)
+        whole = code_of(mask)
+        return (tuple([sum(map(code_of, parts)) - whole for parts in every]),
+                tuple(map(weight, every)))
+
+    choices = _Memo(refinements).__getitem__
+    scaled = source == "p" and target != "x"
+    top = factorial(n - 1) if scaled and n else 1
+
+    def split(code: int) -> list[int]:
+        # only the blocks that split have a choice, and a one-element block
+        # has weight 1 in every basis
+        return [sum(map(bit, block)) for block in blocks_of(code) if len(block) > 1]
+
+    def pairs(masks: list[int]) -> int:
+        return prod(_bell(mask.bit_count()) for mask in masks)
+
+    def column(code: int, masks: list[int]) -> tuple:
+        # the largest block goes last, so the products of the others stay short
+        per_block = list(map(choices, sorted(masks, key=int.bit_count)))
+        last = per_block.pop() if per_block else _UNCHANGED
+        return code, top // bottom(masks) if scaled else 1, tuple(per_block), last
+
+    return split, pairs, column
+
+
+def _coarsenings(n: int, blocks_of, bit, mu, weighted: bool):
+    """_change_of_basis between m and p: the sums run over the groupings of
+    a partition's k blocks, the set partitions of range(k), each weighted by
+    prod_groups mu[size] when weighted, else by 1."""
+
+    def grouping(k: int) -> tuple[tuple, tuple[int, ...]]:
+        every = set_partitions((1 << k) - 1)
+        if not weighted:
+            return every, (1,) * len(every)
+        return every, tuple(prod(mu[g.bit_count()] for g in groups) for groups in every)
+
+    groupings = _Memo(grouping).__getitem__
+    spread_of = _Memo(lambda mask: _spread(mask, n)).__getitem__
+
+    def column(code: int, blocks: list[list[int]]) -> tuple:
+        # merged[s]: the code of the union of the blocks indexed by the bits
+        # of s, whose least element is that of its first block
+        k = len(blocks)
+        spreads = [spread_of(sum(map(bit, block))) for block in blocks]
+        spread = [0] * (1 << k)
+        merged = [0] * (1 << k)
+        for s in range(1, 1 << k):
+            low = s & -s
+            first = low.bit_length() - 1
+            spread[s] = spread[s ^ low] + spreads[first]
+            merged[s] = blocks[first][0] * spread[s]
+        union = merged.__getitem__
+        table = groupings(k)
+        return 0, 1, (), (tuple([sum(map(union, groups)) for groups in table[0]]), table[1])
+
+    return (lambda code: list(blocks_of(code))), (lambda blocks: _bell(len(blocks))), column
+
+
+# the last of a column whose partition has no block that splits
+_UNCHANGED = ((0,), (1,))
+
+# up to degree CACHED_BLOCK_SIZE the tables outlive the call, so the columns
+# of every call share them
+_kept_change_of_basis = cache(_change_of_basis)
+
+
+@cache
+def _columns(n: int, source: str, target: str) -> dict[int, tuple]:
+    """The columns of one change of basis of degree n, by code; filled by
+    _convert_codes and kept until clear_caches."""
+    return {}
+
+
+def _convert_codes(terms: dict[int, int], source: str, target: str,
+                   n: int) -> dict[int, int]:
+    """One change of basis on codes, into or out of p: the sum of coeff
+    times the column of code over the support.  Up to degree
+    CACHED_BLOCK_SIZE each column is built once and kept, and the pairs
+    are not counted: all partitions of [6] together visit 2,471.  Above,
+    the pairs of the whole support are counted first, and each column lives
+    only while it is summed."""
+    support = [(code, coeff) for code, coeff in terms.items() if coeff]
+    if n > CACHED_BLOCK_SIZE:
+        decode, pairs, column = _change_of_basis(n, source, target)
+        decoded = [(code, decode(code)) for code, _ in support]
+        check_conversion_pairs(sum(pairs(blocks) for _, blocks in decoded),
+                               f"{source} -> {target}")
+        columns = (column(code, blocks) for code, blocks in decoded)
+    else:
+        decode, _, column = _kept_change_of_basis(n, source, target)
+        kept = _columns(n, source, target)
+        kept.update([(code, column(code, decode(code)))
+                     for code, _ in support if code not in kept])
+        columns = (kept[code] for code, _ in support)
+    out: dict[int, int] = {}
+    for (_, coeff), (start, value, head, (deltas, weights)) in zip(support, columns):
+        partial = [(start, value * coeff)]
+        for options in head:
+            partial = [(code + delta, count * w)
+                       for code, count in partial for delta, w in zip(*options)]
+        for start, value in partial:
+            for delta, w in zip(deltas, weights):
+                key = start + delta
+                out[key] = out.get(key, 0) + value * w
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ partition codes straight away.
 278 groupings of up to six blocks; larger masks are enumerated per call (a
 single 12-element block has B_12 = 4.2 million refinements).  The cache keeps
 at most 4,096 masks, so only elements of larger degree meet the bound, and
-``clear_caches`` drops it.  The small tables pay in the verify suites:
+``clear_caches`` drops it with the Bell numbers; ``elements.clear_caches``
+also drops the conversion columns.  The small tables pay in the verify suites:
 without them ``verify --suite agreement --n 5`` took 3.05 s of CPU instead
 of 2.77 s and ``--suite roundtrip --n 6`` 0.81 s instead of 0.71 s (medians
 of six interleaved runs on a shared 2-vCPU VM).
@@ -105,8 +106,9 @@ _small_mask_partitions = lru_cache(maxsize=_CACHED_MASKS)(_mask_partitions)
 
 
 def clear_caches() -> None:
-    """Drop the cached set partitions of small masks."""
+    """Drop the cached set partitions of small masks and Bell numbers."""
     _small_mask_partitions.cache_clear()
+    bell_number.cache_clear()
 
 
 class SetPartition:

@@ -252,14 +252,14 @@ class TestConvert:
                                "smallest missing element 2\n")
 
     def test_wide_singleton_term_converts_in_little_memory(self, tmp_path):
-        # every block is a singleton, so nothing is refined; a memo of one
-        # full-width code per block once needed 866 MB here
-        text = "/".join(map(str, range(1, 20001)))
+        # every block is a singleton, so nothing is refined and no block needs
+        # a mask; one full-width mask per singleton once peaked at 232 MB here
+        text = "/".join(map(str, range(1, 40001)))
         path = tmp_path / "expr.json"
-        path.write_text(json.dumps({"basis": "p", "degree": 20000, "terms": [
+        path.write_text(json.dumps({"basis": "p", "degree": 40000, "terms": [
             {"partition": text, "num": 1, "den": 1}]}))
         proc = run_cli_limited("convert", "--expr", str(path), "--from", "p", "--to", "x",
-                               memory_mb=300)
+                               memory_mb=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"x{{{text}}}\n"
 

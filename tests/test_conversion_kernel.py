@@ -2,6 +2,8 @@
 its up-front refusal, and its bounded caches."""
 
 import hashlib
+import importlib
+import pkgutil
 import random
 import time
 from fractions import Fraction
@@ -10,6 +12,7 @@ from math import comb, prod
 
 import pytest
 
+import ncsym
 from helpers import bell_numbers, convert_by_columns
 from ncsym import chromatic, elements, partitions
 from ncsym.chromatic import chromatic_symmetric_function, conversion_pairs, csf_from_colorings
@@ -31,6 +34,17 @@ from ncsym.partitions import (
 )
 
 PAIRS = list(permutations(BASES, 2))
+
+
+def functools_caches() -> dict:
+    """Every functools cache at the top level of an ncsym module, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(ncsym.__path__):
+        module = importlib.import_module(f"ncsym.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)):
+                found[name] = value
+    return found
 
 
 def digest(terms) -> str:
@@ -143,9 +157,47 @@ class TestCaches:
         partitions.clear_caches()
         assert partitions._small_mask_partitions.cache_info().currsize == 0
 
-    def test_module_aliases_clear_the_one_cache(self):
-        assert elements.clear_caches is partitions.clear_caches
-        assert chromatic.clear_caches is partitions.clear_caches
+    @pytest.mark.parametrize("clear", [elements.clear_caches, chromatic.clear_caches],
+                             ids=["elements", "chromatic"])
+    def test_clear_caches_empties_every_functools_cache(self, clear):
+        caches = functools_caches()
+        assert {"_small_mask_partitions", "bell_number", "_columns",
+                "_kept_change_of_basis"} <= set(caches)
+        for n in (5, 8):
+            y = chromatic_symmetric_function(random_graph(n, 0.5, 1))
+            for target in "mehx":
+                convert(convert(y, target), "p")
+        assert all(cache.cache_info().currsize for cache in caches.values())
+        clear()
+        sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
+        assert sizes == dict.fromkeys(caches, 0)
+
+    def test_partitions_clears_its_own_caches(self):
+        convert(basis_term("p", SetPartition.single_block(5)), "x")
+        partitions.clear_caches()
+        assert partitions._small_mask_partitions.cache_info().currsize == 0
+        assert bell_number.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("source,target", PAIRS)
+    def test_cold_equals_warm_on_every_basis_term_up_to_n5(self, source, target):
+        for n in range(6):
+            for pi in enumerate_partitions(n):
+                f = basis_term(source, pi)
+                elements.clear_caches()
+                cold = convert(f, target)
+                warm = convert(f, target)
+                assert (cold.basis, cold._den, cold._terms) == (warm.basis, warm._den, warm._terms)
+                assert dict(cold.terms) == convert_by_columns(f, target), pi
+
+    @pytest.mark.parametrize("source", BASES)
+    def test_one_process_converts_to_two_targets_and_back(self, source):
+        y = chromatic_symmetric_function(random_graph(5, 0.6, 2))
+        f = convert(y, source)
+        elements.clear_caches()
+        for target in BASES:
+            g = convert(f, target)
+            assert dict(g.terms) == convert_by_columns(f, target), target
+            assert convert(g, source) == f and convert(g, "p") == y
 
     def test_results_do_not_depend_on_cache_state(self):
         f = chromatic_symmetric_function(random_graph(7, 0.5, 4))

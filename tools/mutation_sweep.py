@@ -48,15 +48,17 @@ MUTANTS = [
     ("ground-set-cap", "src/ncsym/partitions.py",
      "    if n > limit:", "    if n >= limit:", None),
     ("refine-delta", "src/ncsym/elements.py",
-     "sum(map(code_of, parts)) - code_of(mask)", "sum(map(code_of, parts))", None),
+     "sum(map(code_of, parts)) - whole", "sum(map(code_of, parts))", None),
     ("p-to-eh-scaling", "src/ncsym/elements.py",
-     "coeff * (top // bottom(masks))", "coeff * top", None),
+     "top // bottom(masks) if scaled", "top if scaled", None),
     ("delcon-sign", "src/ncsym/chromatic.py",
      "terms.get(lifted, 0) - coeff", "terms.get(lifted, 0) + coeff", None),
     ("refine-singletons", "src/ncsym/elements.py",
-     "if mask & (mask - 1))", "if mask)",
-     "same output: a one-element block then takes the general path, with delta 0 and "
-     "weight 1; only the memo grows"),
+     "if len(block) > 1]", "if len(block) > 0]",
+     "same output: a one-element block then gets a mask and one choice, with delta 0 and "
+     "weight 1; only memory grows"),
+    ("columns-key-without-target", "src/ncsym/elements.py",
+     "_columns(n, source, target)", '_columns(n, source, "")', None),
 ]
 
 
