@@ -60,10 +60,9 @@ from .elements import (
     basis_term,
     check_conversion_pairs,
     clear_caches as clear_element_caches,
-    convert,
     from_block_masks,
     from_weighted_blocks,
-    scale,
+    linear_combination,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .graphs import (
@@ -328,10 +327,7 @@ def k_deletion_sum(graph: LabeledGraph,
     """Alternating sum of chromatic functions over deletions of all subsets
     of the first k-1 listed cycle edges.  The listed edges must form a simple
     cycle in the graph; the result is the zero element of the same degree."""
-    edges = []
-    for edge in cycle_edges:
-        u, v = edge
-        edges.append((u, v) if u < v else (v, u))
+    edges = [(u, v) if u < v else (v, u) for u, v in cycle_edges]
     k = len(edges)
     if k < 3:
         raise DomainError("a cycle needs at least 3 edges")
@@ -345,20 +341,15 @@ def k_deletion_sum(graph: LabeledGraph,
         degree[v] = degree.get(v, 0) + 1
     if len(degree) != k or any(d != 2 for d in degree.values()):
         raise DomainError("listed edges do not form a simple cycle")
-    cycle_graph = LabeledGraph(graph.n, edges)
-    mask = 0
-    for v in degree:
-        mask |= 1 << v
-    if not cycle_graph.is_connected_subset(mask):
+    if not LabeledGraph(graph.n, edges).is_connected_subset(sum(1 << v for v in degree)):
         raise DomainError("listed edges do not form a single cycle")
 
     removable = edges[:-1]
-    total = NCSymElement.zero("p", graph.n)
-    for mask_bits in range(1 << len(removable)):
-        subset = [removable[i] for i in range(len(removable)) if mask_bits >> i & 1]
-        value = chromatic_symmetric_function(delete_edges(graph, subset))
-        total = total - value if len(subset) % 2 else total + value
-    return total
+    subsets = ([edge for i, edge in enumerate(removable) if bits >> i & 1]
+               for bits in range(1 << len(removable)))
+    return linear_combination("p", graph.n, (
+        (chromatic_symmetric_function(delete_edges(graph, subset)), (-1) ** len(subset))
+        for subset in subsets))
 
 
 def tree_x_expansion(tree: LabeledGraph) -> NCSymElement:
@@ -397,14 +388,11 @@ def matching_x_identity(pi: SetPartition) -> NCSymElement:
 
     Returns (-1)^t * csf(clique union) converted to x, where t counts the
     two-element blocks, after asserting the equality."""
-    t = 0
-    for block in pi.blocks:
-        if len(block) > 2:
-            raise DomainError("matching identity needs blocks of size at most 2")
-        if len(block) == 2:
-            t += 1
+    if any(len(block) > 2 for block in pi.blocks):
+        raise DomainError("matching identity needs blocks of size at most 2")
+    t = sum(len(block) == 2 for block in pi.blocks)
     value = chromatic_symmetric_function(complete_graph_union(pi))
-    signed = convert(scale(value, -1 if t % 2 else 1), "x")
+    signed = linear_combination("x", pi.n, ((value, (-1) ** t),))
     if signed != basis_term("x", pi):
         raise InvariantViolation(f"matching identity failed at {pi}")
     return signed

@@ -18,12 +18,11 @@ from typing import Callable, Iterator, NamedTuple
 from .chromatic import chromatic_symmetric_function
 from .elements import (
     NCSymElement,
-    add,
     coefficient,
     convert,
     first_term_not_refining,
     iter_terms,
-    scale,
+    linear_combination,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
 from .graphs import (
@@ -172,36 +171,37 @@ def build_basis(n: int, strategy: AtomicGeneratorStrategy) -> ChromaticBasis:
 
 
 def express(f: NCSymElement, basis: ChromaticBasis) -> dict[SetPartition, Fraction]:
-    """Coordinates of f in the chromatic basis, by back-substitution.
-
-    Canonical order lists every partition before its strict refinements,
-    which open a new block where their restricted growth strings first
-    differ.  So no later element supports pi: the diagonal fixes pi's
-    coordinate, that multiple is subtracted, and the residue ends empty.
-    """
+    """Coordinates of f in the chromatic basis, in canonical order, by
+    back-substitution one block count k at a time: each element is supported
+    on refinements of its partition, and partitions with k blocks refine each
+    other only when equal.  So once the elements with fewer blocks are
+    subtracted, the residue over the diagonal at each pi with k blocks is its
+    coordinate, one linear combination subtracts the level, and the residue
+    ends empty."""
     if f.degree != basis.n:
         raise DomainError(
             f"element of degree {f.degree} cannot be expressed "
             f"in a degree-{basis.n} basis")
     residue = convert(f, "p")
     coords: dict[SetPartition, Fraction] = {}
-    for pi, element in zip(basis.order, basis.elements):
-        value = coefficient(residue, "p", pi)
-        if not value:
-            continue
-        coeff = value / coefficient(element, "p", pi)
-        coords[pi] = coeff
-        residue = add(residue, scale(element, -coeff))
+    for k in range(basis.n + 1):
+        level = {pi: value / coefficient(element, "p", pi)
+                 for pi, element in zip(basis.order, basis.elements)
+                 if len(pi.blocks) == k and (value := coefficient(residue, "p", pi))}
+        if level:
+            coords.update(level)
+            residue = linear_combination("p", basis.n, [(residue, 1)] + [
+                (basis.element_at(pi), -c) for pi, c in level.items()])
     if not residue.is_zero():
         raise InvariantViolation("back-substitution left a nonzero residue")
-    return coords
+    return {pi: coords[pi] for pi in basis.order if pi in coords}
 
 
 def combine(basis: ChromaticBasis,
             coords: dict[SetPartition, Fraction]) -> NCSymElement:
     """Inverse of express: assemble the linear combination sum c_pi Y_{G_pi}."""
-    return sum((scale(basis.element_at(pi), c) for pi, c in coords.items() if c),
-               NCSymElement.zero("p", basis.n))
+    return linear_combination("p", basis.n, ((basis.element_at(pi), c)
+                                             for pi, c in coords.items() if c))
 
 
 def check_matrix_size(n: int) -> None:

@@ -23,8 +23,10 @@ codes, so it needs no sorting, and int order is the canonical order by
 restricted growth string, so the sorted codes are the output order.  The
 storage is canonical: no count is 0 and gcd(denominator, *counts) == 1, so
 two elements of one basis are equal exactly when their dicts and
-denominators are.  Two constructors build an element from block bitmasks
-(bit x for element x).  ``from_block_masks`` takes partitions as mask tuples
+denominators are.  ``linear_combination`` sums c * f over pairs in one pass,
+int counts over one running denominator; ``add`` and ``scale`` call it.
+Two constructors build an element from block bitmasks (bit x for element
+x).  ``from_block_masks`` takes partitions as mask tuples
 with int counts, as the edge-subset and deletion-contraction routes give
 them, and encodes each distinct mask on its own.  ``from_weighted_blocks``
 takes a table of block weights, fills the codes of the blocks of nonzero
@@ -566,33 +568,44 @@ def convert(f: NCSymElement, target: str) -> NCSymElement:
     return _element(target, n, {code: count for code, count in terms.items() if count}, den)
 
 
+def linear_combination(basis: str, degree: int,
+                       pairs: Iterable[tuple[NCSymElement, object]]) -> NCSymElement:
+    """Sum of c * f over pairs (f, c), written in basis, in one pass: int
+    counts over one running denominator, rescaled only when it must grow.
+    Zero terms and zero elements of any degree are skipped; a nonzero
+    element of another degree raises DomainError."""
+    terms: dict[int, int] = {}
+    den = 1
+    for f, c in pairs:
+        c = Fraction(c)
+        if not c or not f._terms:
+            continue
+        if f.degree != degree:
+            raise DomainError(f"cannot add degree {degree} to degree {f.degree}")
+        if f.basis != basis:
+            f = convert(f, basis)
+        bottom = f._den * c.denominator
+        if den % bottom:
+            grown = lcm(den, bottom)
+            terms = {code: count * (grown // den) for code, count in terms.items()}
+            den = grown
+        factor = c.numerator * (den // bottom)
+        for code, count in f._terms.items():
+            terms[code] = terms.get(code, 0) + count * factor
+    return _element(basis, degree, {code: count for code, count in terms.items() if count}, den)
+
+
 def add(f: NCSymElement, g: NCSymElement) -> NCSymElement:
-    """Sum of two elements; degrees must match unless one side is zero."""
-    if f.degree != g.degree:
-        if f.is_zero():
-            return g
-        if g.is_zero():
-            return f
-        raise DomainError(
-            f"cannot add degree {f.degree} to degree {g.degree}")
-    if f.basis != g.basis:
-        f = convert(f, "p")
-        g = convert(g, "p")
-    den = lcm(f._den, g._den)
-    left, right = den // f._den, den // g._den
-    terms = {code: count * left for code, count in f._terms.items()}
-    for code, count in g._terms.items():
-        _accumulate(terms, code, count * right)
-    return _element(f.basis, f.degree, terms, den)
+    """Sum of two elements, in p when their bases differ; degrees must match
+    unless one side is zero, which gives back the other unchanged."""
+    if f.degree != g.degree and (f.is_zero() or g.is_zero()):
+        return g if f.is_zero() else f
+    return linear_combination(f.basis if f.basis == g.basis else "p", f.degree,
+                              ((f, 1), (g, 1)))
 
 
 def scale(f: NCSymElement, factor) -> NCSymElement:
-    factor = Fraction(factor)
-    if factor == 0:
-        return NCSymElement.zero(f.basis, f.degree)
-    num = factor.numerator
-    return _element(f.basis, f.degree, {code: count * num for code, count in f._terms.items()},
-                    f._den * factor.denominator)
+    return linear_combination(f.basis, f.degree, ((f, factor),))
 
 
 def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:

@@ -244,9 +244,6 @@ def all_labeled_trees(n: int) -> Iterator[LabeledGraph]:
     if n == 1:
         yield LabeledGraph(1)
         return
-    if n == 2:
-        yield LabeledGraph(2, [(1, 2)])
-        return
     for seq in product(range(1, n + 1), repeat=n - 2):
         yield _tree_from_pruefer(seq, n)
 

@@ -208,6 +208,47 @@ class TestExpress:
             "412588ae6eaed97f57b6d915ad6c4631468b20a3b840ee18381f112c41d4bfb3")
 
 
+class TestOnePass:
+    """express subtracts one linear combination per block count, combine
+    sums in one, and express reads each residue coefficient once."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        original = getattr(ncsym.chromatic_bases, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ncsym.chromatic_bases, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("strategy", [PATH_PER_BLOCK, CLIQUE_PER_BLOCK])
+    def test_express_subtracts_one_level_at_a_time(self, strategy, monkeypatch):
+        n = 6
+        basis = build_basis(n, strategy)
+        rng = random.Random(6)
+        coords = {pi: Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1))
+                  for pi in basis.order if rng.random() < 0.5}
+        f = combine(basis, coords)
+        calls = self.count(monkeypatch, "linear_combination")
+        lookups = self.count(monkeypatch, "coefficient")
+        recovered = express(f, basis)
+        assert recovered == coords
+        assert list(recovered) == [pi for pi in basis.order if pi in coords]
+        assert len(calls) <= n
+        assert len(lookups) <= len(basis.order) + len(coords)
+
+    def test_combine_sums_in_one_call(self, monkeypatch):
+        basis = build_basis(5, PATH_PER_BLOCK)
+        coords = {pi: Fraction(i % 5 - 2, i % 3 + 1) for i, pi in enumerate(basis.order)}
+        calls = self.count(monkeypatch, "linear_combination")
+        f = combine(basis, coords)
+        assert len(calls) == 1
+        assert express(f, basis) == {pi: c for pi, c in coords.items() if c}
+
+
 class TestMatrixCap:
     def test_n7_fits_and_n8_is_refused(self):
         check_matrix_size(7)

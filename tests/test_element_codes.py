@@ -186,7 +186,8 @@ def test_codes_increase_along_the_canonical_order():
 
 
 def test_strict_refinements_have_larger_codes():
-    # express back-substitutes in canonical order and relies on this
+    # so the writers' sorted codes list every partition before its strict
+    # refinements, as canonical order does
     for n in range(7):
         partitions = enumerate_partitions(n)
         for pi in partitions:

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from ncsym.elements import (
     induce,
     is_negative_in,
     is_positive_in,
+    linear_combination,
     multiply,
     multiply_sym,
     one,
@@ -204,6 +207,74 @@ class TestArithmetic:
                         assert multiply(basis_term("h", pi),
                                         basis_term("h", sigma)) == \
                             basis_term("h", pi.slash(sigma))
+
+
+class TestLinearCombination:
+    @staticmethod
+    def random_element(rng, basis, n):
+        partitions = enumerate_partitions(n)
+        return NCSymElement(basis, n, {pi: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                       for pi in rng.sample(partitions, min(4, len(partitions)))})
+
+    def random_pairs(self, rng, n):
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            f = self.random_element(rng, rng.choice(BASES), n)
+            pairs.append((f, rng.choice([0, 1, -1, rng.randint(-5, 5),
+                                         Fraction(rng.randint(-5, 5), rng.randint(1, 6))])))
+            if rng.random() < 0.3:
+                pairs.append((NCSymElement.zero(rng.choice(BASES), n + 1), rng.randint(-3, 3)))
+        return pairs
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_equals_the_fold_of_add_and_scale(self, n):
+        rng = random.Random(n)
+        for _ in range(25):
+            pairs = self.random_pairs(rng, n)
+            basis = rng.choice(BASES)
+            total = linear_combination(basis, n, pairs)
+            assert total.basis == basis and total.degree == n
+            fold = reduce(add, (scale(f, c) for f, c in pairs), NCSymElement.zero(basis, n))
+            # add keeps a zero of another degree when everything else cancels
+            assert total == fold or total.is_zero() and fold.is_zero()
+            # an oracle built from the exported views only
+            wanted = {}
+            for f, c in pairs:
+                if c and not f.is_zero():
+                    for pi, value in convert(f, basis).terms.items():
+                        wanted[pi] = wanted.get(pi, 0) + c * value
+            assert dict(total.terms) == {pi: value for pi, value in wanted.items() if value}
+
+    def test_canonical_storage_matches_the_constructor(self):
+        f = term("p", "1,2/3", Fraction(1, 6)) + term("p", "1/2,3", Fraction(1, 10))
+        total = linear_combination("p", 3, [(f, Fraction(3, 7)), (term("p", "1,2/3"), Fraction(-1, 14))])
+        assert total._den == 70 and total._terms == NCSymElement("p", 3, total.terms)._terms
+        assert total == term("p", "1/2,3", Fraction(3, 70))
+
+    def test_accepts_a_one_shot_generator(self):
+        rng = random.Random(7)
+        pairs = self.random_pairs(rng, 4)
+        total = linear_combination("x", 4, iter(pairs))
+        assert total == linear_combination("x", 4, list(pairs))
+        assert linear_combination("h", 4, iter([])) == NCSymElement.zero("h", 4)
+
+    def test_zero_terms_of_any_degree_are_skipped(self):
+        f = term("e", "1,2/3", Fraction(2, 3))
+        pairs = [(term("p", "1,2"), 0), (NCSymElement.zero("m", 5), 3), (f, 1)]
+        assert linear_combination("e", 3, pairs) == f
+        assert linear_combination("e", 3, pairs)._terms == f._terms
+
+    def test_a_nonzero_element_of_another_degree_names_both_degrees(self):
+        with pytest.raises(DomainError, match="cannot add degree 3 to degree 2"):
+            linear_combination("p", 3, [(term("p", "1/2/3"), 1), (term("x", "1,2"), 1)])
+        with pytest.raises(DomainError, match="cannot add degree 1 to degree 2"):
+            add(term("p", "1"), term("h", "1,2"))
+
+    def test_adding_a_zero_of_another_degree_returns_the_other_side(self):
+        g = term("x", "1,2", Fraction(-5, 2))
+        assert add(NCSymElement.zero("p", 3), g) is g
+        assert add(g, NCSymElement.zero("m", 3)) is g
+        assert g.basis == "x"
 
 
 class TestOperators:

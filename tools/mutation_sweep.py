@@ -59,6 +59,12 @@ MUTANTS = [
      "weight 1; only memory grows"),
     ("columns-key-without-target", "src/ncsym/elements.py",
      "_columns(n, source, target)", '_columns(n, source, "")', None),
+    ("combination-rescale", "src/ncsym/elements.py",
+     "if den % bottom:", "if bottom % den:", None),
+    ("express-level-filter", "src/ncsym/chromatic_bases.py",
+     "len(pi.blocks) == k", "len(pi.blocks) <= k",
+     "same output: a coarser partition's residue coefficient is already 0 when its level "
+     "comes again; only the coefficient lookups grow"),
 ]
 
 
