@@ -37,8 +37,10 @@ lattice route and the coloring definition use it.  ``terms`` is the
 built anew on each read and kept nowhere, and no other ncsym module reads
 it.  ``str``, ``element_to_json_dict``, the writers ``iter_text`` and
 ``iter_json`` and ``iter_terms``, which lists each term's text and
-coefficient, never build it: they decode each term's text from the sorted
-codes and reduce its coefficient on its own.
+coefficient, never build it: ``iter_terms`` walks the sorted codes as a
+trie, keeping the open blocks' texts and re-reading only the fields below
+the highest one that changed from the previous code, and reduces each
+coefficient on its own, or not at all over the denominator 1.
 
 ``convert`` applies the Rosas-Sagan closed forms on the codes, one step
 into p and one out of it.  A step sums coeff times the column of each
@@ -597,9 +599,10 @@ def linear_combination(basis: str, degree: int,
 
 def add(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     """Sum of two elements, in p when their bases differ; degrees must match
-    unless one side is zero, which gives back the other unchanged."""
+    unless one side is zero, which gives back the other unchanged.  Two
+    zeros of different degrees give f."""
     if f.degree != g.degree and (f.is_zero() or g.is_zero()):
-        return g if f.is_zero() else f
+        return g if g._terms else f
     return linear_combination(f.basis if f.basis == g.basis else "p", f.degree,
                               ((f, 1), (g, 1)))
 
@@ -655,7 +658,7 @@ def coefficient(f: NCSymElement, basis: str, pi: SetPartition) -> Fraction:
     """The coefficient of b_pi once f is written in the given basis."""
     if pi.n != f.degree:
         return _ZERO
-    g = convert(f, basis)
+    g = f if f.basis == basis else convert(f, basis)
     return Fraction(g._terms.get(_encode(pi), 0), g._den)
 
 
@@ -896,13 +899,52 @@ def project(f: NCSymElement) -> SymElement:
 
 def iter_terms(f: NCSymElement) -> Iterator[tuple[str, int, int]]:
     """(partition text, numerator, denominator) of every term of f in
-    canonical order, each coefficient in lowest terms."""
-    blocks = _decoder(f.degree, [str(x) for x in range(f.degree + 1)])
-    terms, den = f._terms, f._den
+    canonical order, each coefficient in lowest terms.
+
+    The sorted codes are walked as a trie: consecutive codes share their
+    high fields, so only the elements from the highest changed field on are
+    taken back out of the open blocks, in reverse, and placed again from
+    their fields.  Each placement records how to undo it: None when the
+    element opened a block, else the index and old text of the block it
+    joined."""
+    n, terms, den = f.degree, f._terms, f._den
+    # degree 0 has one code, 0, with no fields
+    field = n.bit_length() or 1
+    ones = (1 << field) - 1
+    labels = [str(x) for x in range(n + 1)]
+    joins = ["," + label for label in labels]
+    blocks: list[str] = []
+    # opened[x]: the index in blocks of the block whose least element is x
+    opened = [0] * (n + 1)
+    undo: list[tuple[int, str] | None] = []
+    prev = 0
     for code in sorted(terms):
+        # elements 1..kept have the same fields as in the previous code
+        kept = n - ((code ^ prev).bit_length() + field - 1) // field
+        prev = code
+        while len(undo) > kept:
+            joined = undo.pop()
+            if joined is None:
+                blocks.pop()
+            else:
+                blocks[joined[0]] = joined[1]
+        for x in range(kept + 1, n + 1):
+            least = code >> field * (n - x) & ones
+            if least == x:
+                opened[x] = len(blocks)
+                blocks.append(labels[x])
+                undo.append(None)
+            else:
+                index = opened[least]
+                text = blocks[index]
+                undo.append((index, text))
+                blocks[index] = text + joins[x]
         count = terms[code]
-        common = gcd(count, den)
-        yield "/".join(map(",".join, blocks(code))), count // common, den // common
+        if den == 1:
+            yield "/".join(blocks), count, 1
+        else:
+            common = gcd(count, den)
+            yield "/".join(blocks), count // common, den // common
 
 
 def iter_text(f: NCSymElement) -> Iterator[str]:

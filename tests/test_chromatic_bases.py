@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 import ncsym.chromatic_bases
+import ncsym.elements
 from helpers import basis_json_payload, no_term_view, rank_over_q
 from ncsym.chromatic import chromatic_symmetric_function
 from ncsym.chromatic_bases import (
@@ -213,15 +214,15 @@ class TestOnePass:
     sums in one, and express reads each residue coefficient once."""
 
     @staticmethod
-    def count(monkeypatch, name):
+    def count(monkeypatch, name, module=ncsym.chromatic_bases):
         calls = []
-        original = getattr(ncsym.chromatic_bases, name)
+        original = getattr(module, name)
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(ncsym.chromatic_bases, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize("strategy", [PATH_PER_BLOCK, CLIQUE_PER_BLOCK])
@@ -239,6 +240,18 @@ class TestOnePass:
         assert list(recovered) == [pi for pi in basis.order if pi in coords]
         assert len(calls) <= n
         assert len(lookups) <= len(basis.order) + len(coords)
+
+    def test_express_reads_p_coefficients_without_converting(self, monkeypatch):
+        # every residue and every basis element is already in p
+        n = 6
+        basis = build_basis(n, PATH_PER_BLOCK)
+        rng = random.Random(6)
+        coords = {pi: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                  for pi in basis.order if rng.random() < 0.5}
+        f = combine(basis, coords)
+        conversions = self.count(monkeypatch, "convert", ncsym.elements)
+        assert express(f, basis) == coords
+        assert conversions == []
 
     def test_combine_sums_in_one_call(self, monkeypatch):
         basis = build_basis(5, PATH_PER_BLOCK)

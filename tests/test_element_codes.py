@@ -3,6 +3,7 @@ denominator.  Every public view of an element must be what the same terms
 held as ``SetPartition`` keys and ``Fraction`` values would give."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -183,6 +184,59 @@ def test_codes_increase_along_the_canonical_order():
         blocks = _decoder(n, range(n + 1))
         for pi, code in zip(partitions, codes):
             assert tuple(map(tuple, blocks(code))) == pi.blocks
+
+
+def decoded_terms(f):
+    """iter_terms as the decoder gives it: every code decoded on its own."""
+    blocks = _decoder(f.degree, [str(x) for x in range(f.degree + 1)])
+    terms = []
+    for code in sorted(f._terms):
+        value = Fraction(f._terms[code], f._den)
+        terms.append(("/".join(map(",".join, blocks(code))), value.numerator,
+                      value.denominator))
+    return terms
+
+
+def random_rgs(rng, n):
+    rgs, blocks = [], 0
+    for _ in range(n):
+        b = rng.randrange(blocks + 1)
+        blocks += b == blocks
+        rgs.append(b)
+    return rgs
+
+
+def test_walker_lists_every_partition_as_the_decoder_does():
+    for n in range(9):
+        f = NCSymElement("p", n, {pi: i + 1 for i, pi in enumerate(enumerate_partitions(n))})
+        assert list(iter_terms(f)) == decoded_terms(f)
+        assert [text for text, _, _ in iter_terms(f)] == [
+            pi.to_text() for pi in enumerate_partitions(n)]
+
+
+def test_walker_on_sparse_supports_at_every_field_width():
+    # degrees on both sides of each change of n.bit_length(); random
+    # supports make consecutive codes differ in high fields
+    rng = random.Random(26)
+    for n in (1, 2, 3, 4, 7, 8, 15, 16):
+        for size in (1, 2, 5, 40):
+            pairs = [(SetPartition.from_rgs(random_rgs(rng, n)), rng.randint(-9, 9))
+                     for _ in range(size)]
+            f = NCSymElement(rng.choice(BASES), n, pairs)
+            assert list(iter_terms(f)) == decoded_terms(f), (n, size)
+            assert [text for text, _, _ in iter_terms(f)] == [
+                pi.to_text() for pi in sorted(f.terms, key=lambda pi: pi.rgs)]
+
+
+def test_walker_reduces_each_coefficient_over_a_shared_denominator():
+    rng = random.Random(7)
+    pairs = [(SetPartition.from_rgs(random_rgs(rng, 7)), Fraction(rng.randint(-20, 20), 12))
+             for _ in range(60)]
+    f = NCSymElement("x", 7, pairs)
+    assert f._den == 12
+    terms = list(iter_terms(f))
+    assert terms == decoded_terms(f)
+    assert {den for _, _, den in terms} > {1, 12}
 
 
 def test_strict_refinements_have_larger_codes():

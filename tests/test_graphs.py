@@ -88,6 +88,13 @@ class TestComponents:
         assert is_clique_union(graph(3, (1, 2)))
         assert not is_clique_union(graph(3, (1, 2), (2, 3)))
 
+    def test_connected_subsets(self):
+        g = graph(4, (1, 2), (3, 4))
+        # the empty vertex set counts as connected
+        assert g.is_connected_subset(0)
+        assert g.is_connected_subset(0b110) and g.is_connected_subset(0b10000)
+        assert not g.is_connected_subset(0b1010)
+
 
 class TestSurgery:
     def test_delete_edges(self):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -8,13 +9,15 @@ import ncsym.elements
 import ncsym.verification
 from ncsym.chromatic import (
     chromatic_symmetric_function,
+    classify_e_positivity,
     tree_x_expansion,
 )
+from ncsym.chromatic_bases import PATH_PER_BLOCK, build_basis
 from ncsym.cli import main
 from ncsym.elements import _block_codes, act, basis_term, convert, multiply, scale
 from ncsym.errors import DomainError, InvariantViolation
 from ncsym.graphs import bond_mobius
-from ncsym.partitions import parse_partition
+from ncsym.partitions import SetPartition, parse_partition
 from ncsym.verification import SUITES, run_suite
 
 
@@ -160,6 +163,61 @@ def test_agreement_fails_on_a_wrong_block_code(monkeypatch):
     labels = {f["instance"].rsplit(" [", 1)[1] for f in result.failures}
     assert labels == {"connected subsets]", "coloring definition]"}
     assert main(["verify", "--suite", "agreement", "--n", "3"]) == 1
+
+
+def _reported(**changes):
+    """classify_e_positivity with fields of each report replaced by
+    changes[field](report)."""
+    def classify(graph):
+        report = classify_e_positivity(graph)
+        return report._replace(**{name: change(report) for name, change in changes.items()})
+    return classify
+
+
+def test_epos_scan_fails_on_a_zero_witness_coefficient(monkeypatch):
+    # e_{1/2/3} really has coefficient 0 in every Y on three vertices, so
+    # only the sign check can refuse this witness
+    finest = SetPartition.singletons(3)
+    zero = _reported(negative_witness=lambda r: r.negative_witness and (finest, Fraction(0)))
+    monkeypatch.setattr(ncsym.verification, "classify_e_positivity", zero)
+    result = run_suite("epos-scan", 3)
+    # the three paths on three vertices are the graphs that are not clique unions
+    assert (result.total, result.passed) == (8, 5)
+    assert [(f["expected"], f["actual"]) for f in result.failures] == [("0", "0")] * 3
+    assert all(f["instance"].endswith(" witness 1/2/3") for f in result.failures)
+    assert main(["verify", "--suite", "epos-scan", "--n", "3"]) == 1
+
+
+def test_epos_scan_fails_on_a_wrong_verdict(monkeypatch):
+    flipped = _reported(verdict=lambda r: "mixed" if r.verdict == "e_positive" else "e_positive")
+    monkeypatch.setattr(ncsym.verification, "classify_e_positivity", flipped)
+    result = run_suite("epos-scan", 3)
+    assert (result.total, result.passed) == (8, 0)
+    assert {(f["expected"], f["actual"]) for f in result.failures} == {
+        ("e_positive", "mixed"), ("mixed", "e_positive")}
+    assert main(["verify", "--suite", "epos-scan", "--n", "3"]) == 1
+
+
+def test_epos_scan_fails_when_a_mixed_graph_has_one_sign(monkeypatch):
+    # every graph gets the Y of the edgeless graph, p_{1/2/3} = e_{1/2/3}
+    monkeypatch.setattr(ncsym.verification, "chromatic_symmetric_function",
+                        lambda g: basis_term("p", SetPartition.singletons(g.n)))
+    result = run_suite("epos-scan", 3)
+    assert (result.total, result.passed) == (8, 5)
+    assert {f["expected"] for f in result.failures} == {
+        "both positive and negative e coefficients"}
+    assert main(["verify", "--suite", "epos-scan", "--n", "3"]) == 1
+
+
+def test_bases_fails_on_a_wrong_clique_element(monkeypatch):
+    # the path strategy's elements stand in for the clique strategy's
+    monkeypatch.setattr(ncsym.verification, "build_basis",
+                        lambda n, strategy: build_basis(n, PATH_PER_BLOCK))
+    result = run_suite("bases", 3, seed=13)
+    assert (result.total, result.passed) == (23, 22)
+    [failure] = result.failures
+    assert failure["instance"].startswith("clique element at ")
+    assert main(["verify", "--suite", "bases", "--n", "3", "--seed", "13"]) == 1
 
 
 def _negated(fn):

@@ -1,5 +1,5 @@
-"""Mutation sweep: does the tier-1 suite notice a wrong cap or a wrong
-change of basis?
+"""Mutation sweep: does the tier-1 suite notice a wrong cap, a wrong
+change of basis or a wrong writer?
 
 Copies the repository into a temporary directory, and that copy again once
 per mutant; applies each mutant to its copy as a plain-text replacement, runs
@@ -65,6 +65,10 @@ MUTANTS = [
      "len(pi.blocks) == k", "len(pi.blocks) <= k",
      "same output: a coarser partition's residue coefficient is already 0 when its level "
      "comes again; only the coefficient lookups grow"),
+    ("walker-changed-field", "src/ncsym/elements.py",
+     "+ field - 1) // field", "+ field) // field", None),
+    ("walker-undo-join", "src/ncsym/elements.py",
+     "blocks[joined[0]] = joined[1]", "pass", None),
 ]
 
 
