@@ -23,10 +23,11 @@ partition codes straight away.
 single 12-element block has B_12 = 4.2 million refinements).  The cache keeps
 at most 4,096 masks, so only elements of larger degree meet the bound, and
 ``clear_caches`` drops it with the Bell numbers; ``elements.clear_caches``
-also drops the conversion columns.  The small tables pay in the verify suites:
-without them ``verify --suite agreement --n 5`` took 3.05 s of CPU instead
-of 2.77 s and ``--suite roundtrip --n 6`` 0.81 s instead of 0.71 s (medians
-of six interleaved runs on a shared 2-vCPU VM).
+also drops the conversion columns.  The small tables pay at degrees 7 and 8,
+whose conversions build their tables per call: without them cli-oneshot's
+``wall_s`` was 1.944 / 1.924 / 1.951 s against 1.879 / 1.911 / 1.901 s and
+``req_p90_s`` about 3% higher; verify-sweep was unchanged, 1.269 / 1.255 s
+against 1.255 / 1.274 s (alternating pairs on a shared 2-vCPU VM).
 
 Everything defined here is immutable after construction and safe to share
 between threads.

@@ -29,10 +29,11 @@ from ncsym.elements import (
     convert,
     multiply,
     project,
+    scale,
     sym_basis_term,
     word_expansion,
 )
-from ncsym.errors import DomainError, ResourceLimitError
+from ncsym.errors import DomainError, InvariantViolation, ResourceLimitError
 from ncsym.graphs import (
     LabeledGraph,
     _tree_from_pruefer,
@@ -511,6 +512,13 @@ class TestMatchingIdentity:
     def test_rejects_big_blocks(self):
         with pytest.raises(DomainError):
             matching_x_identity(parse_partition("1,2,3"))
+
+    def test_a_wrong_chromatic_function_violates_the_identity(self, monkeypatch):
+        right = chromatic.chromatic_symmetric_function
+        monkeypatch.setattr(chromatic, "chromatic_symmetric_function",
+                            lambda graph: scale(right(graph), 2))
+        with pytest.raises(InvariantViolation, match="1,2/3"):
+            matching_x_identity(parse_partition("1,2/3"))
 
 
 class TestNonRealizability:

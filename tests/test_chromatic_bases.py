@@ -15,6 +15,7 @@ from ncsym.chromatic_bases import (
     MAX_MATRIX_CELLS,
     PATH_PER_BLOCK,
     AtomicGeneratorStrategy,
+    ChromaticBasis,
     basis_graph,
     build_basis,
     check_matrix_size,
@@ -150,6 +151,18 @@ class TestExpress:
         basis = build_basis(3, CLIQUE_PER_BLOCK)
         coords = express(basis_term("e", parse_partition("1,2,3")), basis)
         assert coords == {parse_partition("1,2,3"): Fraction(1)}
+
+    def test_a_wrong_basis_element_leaves_a_residue(self):
+        basis = build_basis(2, PATH_PER_BLOCK)
+        # the element at 1/2 leaks onto the coarser 1,2, which back-substitution
+        # has already passed when it reaches 1/2
+        bottom = parse_partition("1/2")
+        wrong = basis.element_at(bottom) + basis_term("p", parse_partition("1,2"))
+        elements = tuple(wrong if pi == bottom else element
+                         for pi, element in zip(basis.order, basis.elements))
+        tampered = ChromaticBasis(basis.n, basis.strategy, basis.order, basis.graphs, elements)
+        with pytest.raises(InvariantViolation, match="residue"):
+            express(basis_term("p", bottom), tampered)
 
     def test_p_term_round_trip(self):
         basis = build_basis(3, PATH_PER_BLOCK)

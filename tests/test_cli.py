@@ -660,6 +660,16 @@ class TestZeroElement:
         assert time.perf_counter() - start < 1
         assert code == 0 and out == "0\n"
 
+    def test_zero_of_huge_degree_converts_to_json_in_little_memory(self, tmp_path):
+        # a zero element lists no term, so nothing is built per degree
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"basis": "p", "degree": 100000000, "terms": []}))
+        proc = run_cli_limited("convert", "--expr", str(path), "--from", "p", "--to", "m",
+                               "--json", memory_mb=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == json.dumps({"basis": "m", "degree": 100000000, "terms": []},
+                                         indent=2, sort_keys=True) + "\n"
+
 
 def test_text_mode_never_builds_the_json_payload(p3_file, tmp_path, monkeypatch):
     expected = run_cli("expand", "--graph", p3_file, "--basis", "x")

@@ -34,6 +34,8 @@ from ncsym.partitions import (
 )
 
 PAIRS = list(permutations(BASES, 2))
+# the steps of convert: into p and out of it
+DIRECTIONS = [(b, "p") for b in "mehx"] + [("p", b) for b in "mehx"]
 
 
 def functools_caches() -> dict:
@@ -161,8 +163,7 @@ class TestCaches:
                              ids=["elements", "chromatic"])
     def test_clear_caches_empties_every_functools_cache(self, clear):
         caches = functools_caches()
-        assert {"_small_mask_partitions", "bell_number", "_columns",
-                "_kept_change_of_basis"} <= set(caches)
+        assert set(caches) == {"_small_mask_partitions", "bell_number", "_small_columns"}
         for n in (5, 8):
             y = chromatic_symmetric_function(random_graph(n, 0.5, 1))
             for target in "mehx":
@@ -171,6 +172,20 @@ class TestCaches:
         clear()
         sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
         assert sizes == dict.fromkeys(caches, 0)
+
+    @pytest.mark.parametrize("source,target", DIRECTIONS)
+    def test_small_columns_are_complete_and_never_grow(self, source, target):
+        elements.clear_caches()
+        tables = {n: elements._small_columns(n, source, target)
+                  for n in range(partitions.CACHED_BLOCK_SIZE + 1)}
+        for n, table in tables.items():
+            assert len(table) == bell_number(n)
+        for n in range(partitions.CACHED_BLOCK_SIZE + 1):
+            for pi in enumerate_partitions(n):
+                convert(convert(basis_term(source, pi, 3), target), source)
+        for n, table in tables.items():
+            assert elements._small_columns(n, source, target) is table
+            assert len(table) == bell_number(n)
 
     def test_partitions_clears_its_own_caches(self):
         convert(basis_term("p", SetPartition.single_block(5)), "x")

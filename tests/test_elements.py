@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -26,6 +28,8 @@ from ncsym.elements import (
     induce,
     is_negative_in,
     is_positive_in,
+    iter_json,
+    iter_terms,
     linear_combination,
     multiply,
     multiply_sym,
@@ -65,6 +69,36 @@ class TestConstruction:
         assert one("p").degree == 0
         assert scale(one("p"), Fraction(3, 2)).terms[SetPartition.empty()] == \
             Fraction(3, 2)
+
+
+class TestZeroOfHugeDegree:
+    """A zero element builds nothing that grows with its degree."""
+
+    def test_views_and_writers_allocate_nothing_per_degree(self):
+        n = 10 ** 6
+        z = NCSymElement.zero("p", n)
+        tracemalloc.start()
+        try:
+            assert list(iter_terms(z)) == []
+            assert "".join(iter_json(z)) == \
+                f'{{\n  "basis": "p",\n  "degree": {n},\n  "terms": []\n}}'
+            assert element_to_json_dict(z) == {"basis": "p", "degree": n, "terms": []}
+            assert not z.terms
+            assert word_expansion(z, 2) == {}
+            assert project(z) == SymElement.zero("p", n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_zero_factor_gives_zero_at_once(self):
+        n = 10 ** 5
+        z = NCSymElement.zero("e", n)
+        start = time.perf_counter()
+        products = [multiply(z, z), multiply(z, term("p", "1,2")), multiply(term("x", "1"), z)]
+        assert time.perf_counter() - start < 1
+        assert [(f.basis, f.degree, f.is_zero()) for f in products] == \
+            [("p", 2 * n, True), ("p", n + 2, True), ("p", n + 1, True)]
 
 
 class TestConversions:
@@ -300,12 +334,21 @@ class TestOperators:
             f * "x"
         with pytest.raises(TypeError):
             f + 1
+        with pytest.raises(TypeError):
+            f - 1
+        with pytest.raises(TypeError):
+            "x" * f
         assert (f == 3) is False
 
     def test_zero_coefficient_term_is_zero(self):
         zero = basis_term("e", parse_partition("1,2/3"), 0)
         assert zero.is_zero()
         assert zero == NCSymElement.zero("e", 3)
+
+    def test_elements_of_different_degrees_are_unequal(self):
+        assert (term("p", "1") == term("p", "1/2")) is False
+        assert (term("x", "1,2") == term("p", "1,2,3")) is False
+        assert NCSymElement.zero("m", 2) != NCSymElement.zero("m", 3)
 
 
 class TestSymElement:
@@ -324,6 +367,24 @@ class TestSymElement:
         assert (a * 0).is_zero() and (0 * a).is_zero()
         assert (a * 0).degree == 3
         assert a * Fraction(1, 3) == sym_basis_term("p", self.lam(2, 1))
+
+    def test_foreign_operands(self):
+        a = sym_basis_term("p", self.lam(2, 1), 3)
+        for operation in (lambda: a + 1, lambda: a - 1, lambda: a * "x", lambda: "x" * a):
+            with pytest.raises(TypeError):
+                operation()
+        assert (a == 3) is False
+
+    def test_zero_of_another_degree_adds_as_zero(self):
+        a = sym_basis_term("p", self.lam(2, 1), 3)
+        zero = SymElement.zero("e", 5)
+        assert a + zero == a and zero + a == a
+        assert (a + zero).degree == (zero + a).degree == 3
+
+    def test_zero_coefficient_gives_the_zero_of_the_degree(self):
+        zero = sym_basis_term("h", self.lam(2, 1), 0)
+        assert zero.is_zero() and zero.degree == 3
+        assert zero == SymElement.zero("h", 3) != SymElement.zero("h", 4)
 
     def test_product_is_multiply_sym(self):
         a = sym_basis_term("p", self.lam(2, 1), 3)

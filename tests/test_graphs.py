@@ -51,6 +51,15 @@ class TestConstruction:
         assert g.edges == ((1, 3), (2, 4))
         assert g.has_edge(3, 1)
         assert not g.has_edge(1, 2)
+        # a loop or a vertex outside [n] is never an edge
+        assert not g.has_edge(3, 3) and not g.has_edge(0, 1) and not g.has_edge(4, 5)
+        assert (g == g.edges) is False
+
+    def test_repr_evaluates_back(self):
+        g = LabeledGraph(4, [(3, 1), (2, 4)])
+        assert repr(g) == "LabeledGraph(4, [(1, 3), (2, 4)])"
+        assert eval(repr(g), {"LabeledGraph": LabeledGraph}) == g
+        assert eval(repr(LabeledGraph(0)), {"LabeledGraph": LabeledGraph}) == LabeledGraph(0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -233,6 +242,7 @@ class TestParsing:
         ("n 3\ne 1 4\n", 2),
         ("n 3\nv 1 2\n", 2),
         ("n 3\ne 1\n", 2),
+        ("n 3\ne 1 x\n", 2),
         ("n x\n", 1),
         ("", 1),
     ])

@@ -253,6 +253,25 @@ class TestShape:
         with pytest.raises(DomainError):
             IntegerPartition((-1, 2))
 
+    def test_integer_partitions_order_iterate_and_repr(self):
+        lam = IntegerPartition([1, 3, 2])
+        assert list(lam) == [3, 2, 1]
+        # by size first, then by parts
+        assert IntegerPartition([2, 1]) < IntegerPartition([3]) < IntegerPartition([1, 1, 1, 1])
+        assert not IntegerPartition([3]) < IntegerPartition([2, 1])
+        assert (IntegerPartition([2]) == (2,)) is False
+        assert repr(lam) == "IntegerPartition([3, 2, 1])"
+        assert eval(repr(lam), {"IntegerPartition": IntegerPartition}) == lam
+
+
+class TestOrder:
+    def test_set_partitions_order_by_size_then_rgs(self):
+        assert part("1,2") < part("1/2") < part("1,2,3")
+        assert not part("1/2") < part("1,2")
+        assert (part("1,2") == "1,2") is False
+        assert sorted([part("1/2/3"), part("1/2"), part("1,3/2"), part("1")]) == \
+            [part("1"), part("1/2"), part("1,3/2"), part("1/2/3")]
+
 
 class TestMobius:
     def test_bottom_values_follow_shape_product(self):
@@ -299,6 +318,15 @@ class TestPermutations:
     def test_apply_needs_matching_size(self):
         with pytest.raises(DomainError):
             part("1,2,3").permuted(Permutation((1, 2)))
+
+    def test_equality_hash_and_repr(self):
+        delta = Permutation([2, 1, 3])
+        assert delta == Permutation((2, 1, 3)) and delta != Permutation.identity(3)
+        assert (delta == (2, 1, 3)) is False
+        assert hash(delta) == hash(Permutation((2, 1, 3)))
+        assert len({delta, Permutation((2, 1, 3)), Permutation.identity(3)}) == 2
+        assert repr(delta) == "Permutation([2, 1, 3])"
+        assert eval(repr(delta), {"Permutation": Permutation}) == delta
 
 
 @st.composite

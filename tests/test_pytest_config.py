@@ -1,11 +1,14 @@
 """The repository's pytest configuration reports a failing hypothesis test as
-one failure and goes on with the run."""
+one failure and goes on with the run, and finds the package in a plain
+checkout."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-CONFIG = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "pyproject.toml"
 
 SAMPLE = '''
 from hypothesis import given, strategies as st
@@ -30,3 +33,12 @@ def test_a_failing_hypothesis_test_does_not_end_the_run(tmp_path):
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert result.returncode == 1
     assert "1 failed, 1 passed" in result.stdout
+
+
+def test_a_plain_checkout_collects_without_pythonpath():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests/test_imports.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr

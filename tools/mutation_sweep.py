@@ -54,11 +54,13 @@ MUTANTS = [
     ("delcon-sign", "src/ncsym/chromatic.py",
      "terms.get(lifted, 0) - coeff", "terms.get(lifted, 0) + coeff", None),
     ("refine-singletons", "src/ncsym/elements.py",
-     "if len(block) > 1]", "if len(block) > 0]",
-     "same output: a one-element block then gets a mask and one choice, with delta 0 and "
-     "weight 1; only memory grows"),
+     'smallest = 1 if basis == "m" else 2', "smallest = 1",
+     "same output: a one-element block then gets a mask, which the column drops; only "
+     "memory grows"),
     ("columns-key-without-target", "src/ncsym/elements.py",
-     "_columns(n, source, target)", '_columns(n, source, "")', None),
+     "_small_columns(n, source, target)", '_small_columns(n, source, "")', None),
+    ("small-columns-mask", "src/ncsym/elements.py",
+     "set_partitions((1 << (n + 1)) - 2)", "set_partitions((1 << n) - 2)", None),
     ("combination-rescale", "src/ncsym/elements.py",
      "if den % bottom:", "if bottom % den:", None),
     ("express-level-filter", "src/ncsym/chromatic_bases.py",
