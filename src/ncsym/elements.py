@@ -43,16 +43,18 @@ the highest one that changed from the previous code, and reduces each
 coefficient on its own, or not at all over the denominator 1.
 
 ``convert`` applies the Rosas-Sagan closed forms on the codes, one step
-into p and one out of it.  A step sums coeff times the column of each
-support code, the expansion of that one basis element, and stores the codes
-it makes.  It decodes a code into the elements of each block and builds a
-bitmask only for a block that splits: a one-element block is its own only
+into p and one out of it.  A step sums coeff * count over the column of
+each support code, the expansion of that one basis element, in one loop.
+Every column has one shape, (codes, counts): parallel lists of the distinct
+target codes and their int counts, one entry per pair the step visits.  A
+step decodes a code into the elements of each block and builds a bitmask
+only for a block that splits: a one-element block is its own only
 refinement, with weight 1 in every basis.  The counts stay ints: a step out
 of p into e or h also multiplies the denominator by (n - 1)!, which every
-|mu(0, pi)| divides, and the result is reduced once.  Conversions between m
-and p sum over coarsenings, the set partitions of a partition's k blocks;
-those between x, e or h and p over refinements, one set partition of each
-block.
+|mu(0, pi)| divides, folds that quotient into the counts, and the result
+is reduced once.  Conversions between m and p sum over coarsenings,
+the set partitions of a partition's k blocks; those between x, e or h and p
+over refinements, the product of one set partition of each block.
 
 Both come from ``partitions.set_partitions``, which caches the set partitions
 of small masks.  Up to degree ``CACHED_BLOCK_SIZE`` = 6 a step reads each
@@ -67,11 +69,12 @@ converts, multiplies and writes at once, with no table of its degree.
 Before each step above the bound ``convert`` counts the pairs it will
 visit, sum_pi prod_B B_|B| over the support for x, e and h and sum_pi
 B_k(pi) for m, and raises ``ResourceLimitError`` above
-``MAX_CONVERSION_PAIRS`` = 2,000,000.  Y of K_9 (1,606,137 pairs) converts
-into any basis in about 1 s at under 60 MB; K_10 (16.7 million) and K_12
-(2.28 billion) are refused.  A step makes at most one output term per pair.  The single term
-p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at 188 MB,
-about 260 bytes a term over the 17 MB of the interpreter.
+``MAX_CONVERSION_PAIRS`` = 2,000,000, the number of column entries it will
+sum.  Y of K_9 (1,606,137 pairs) converts into any basis in 0.7 to 1.0 s at
+under 35 MB; K_10 (16.7 million) and K_12 (2.28 billion) are refused.  A
+step makes at most one output term per pair.  The single term
+p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at 161 MB,
+about 220 bytes a term over the 16 MB of the interpreter.
 """
 
 from __future__ import annotations
@@ -218,10 +221,9 @@ def _change_of_basis(n: int, source: str, target: str):
     three functions: decode(code), the masks of the blocks of a partition
     that the change needs; pairs(masks), the number of pairs its column
     visits; and column(code, masks), the expansion of b_code alone, which
-    also takes the masks of every block.  A column (start, value, head,
-    last) stands for the codes start + the sum of one delta from each
-    (deltas, weights) of head and of last, with counts value * the product
-    of their weights.  All three share tables filled on first use: the
+    also takes the masks of every block.  A column is (codes, counts), two
+    parallel lists of the target codes, all distinct, and their int counts,
+    pairs(masks) of each.  All three share tables filled on first use: the
     refinements of each block, or the groupings of each block count.
 
     b_pi over p: m sums mu(pi, sigma) over coarsenings; x sums mu(sigma, pi),
@@ -232,7 +234,8 @@ def _change_of_basis(n: int, source: str, target: str):
     product of mu[j] = (-1)^(j-1) (j-1)!.
     """
     basis = target if source == "p" else source
-    # each block as the list of its elements, so a refinement masks no singleton
+    # each block as the list of its elements, so a refinement masks no
+    # singleton: bit labels would hold n ints of up to n bits
     blocks_of = _decoder(n, range(n + 1))
     bit = (1).__lshift__
     smallest = 1 if basis == "m" else 2
@@ -258,13 +261,12 @@ def _change_of_basis(n: int, source: str, target: str):
         weight = bottom
     code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
 
-    def refinements(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def refinements(mask: int) -> tuple[list[int], list[int]]:
         # the change each set partition of the block makes to the code, and
         # the weights
         every = set_partitions(mask)
         whole = code_of(mask)
-        return (tuple([sum(map(code_of, parts)) - whole for parts in every]),
-                tuple(map(weight, every)))
+        return [sum(map(code_of, parts)) - whole for parts in every], list(map(weight, every))
 
     choices = _Memo(refinements).__getitem__
     scaled = source == "p" and target != "x"
@@ -273,12 +275,15 @@ def _change_of_basis(n: int, source: str, target: str):
     def pairs(masks: list[int]) -> int:
         return prod(_bell(mask.bit_count()) for mask in masks)
 
-    def column(code: int, masks: list[int]) -> tuple:
-        # a singleton has weight 1, and the largest block goes last, so the
-        # products of the others stay short
-        per_block = list(map(choices, sorted([m for m in masks if m & (m - 1)], key=int.bit_count)))
-        last = per_block.pop() if per_block else _UNCHANGED
-        return code, top // bottom(masks) if scaled else 1, tuple(per_block), last
+    def column(code: int, masks: list[int]) -> tuple[list[int], list[int]]:
+        codes, counts = [code], [top // bottom(masks) if scaled else 1]
+        # a singleton is its own only refinement, with weight 1
+        for mask in masks:
+            if mask & (mask - 1):
+                deltas, weights = choices(mask)
+                codes = [c + d for c in codes for d in deltas]
+                counts = [v * w for v in counts for w in weights]
+        return codes, counts
 
     return decode, pairs, column
 
@@ -288,16 +293,16 @@ def _coarsenings(n: int, mu, weighted: bool):
     a partition's k blocks, the set partitions of range(k), each weighted by
     prod_groups mu[size] when weighted, else by 1."""
 
-    def grouping(k: int) -> tuple[tuple, tuple[int, ...]]:
+    def grouping(k: int) -> tuple[tuple, list[int]]:
         every = set_partitions((1 << k) - 1)
         if not weighted:
-            return every, (1,) * len(every)
-        return every, tuple(prod(mu[g.bit_count()] for g in groups) for groups in every)
+            return every, [1] * len(every)
+        return every, [prod(mu[g.bit_count()] for g in groups) for groups in every]
 
     groupings = _Memo(grouping).__getitem__
     spread_of = _Memo(lambda mask: _spread(mask, n)).__getitem__
 
-    def column(code: int, masks: list[int]) -> tuple:
+    def column(code: int, masks: list[int]) -> tuple[list[int], list[int]]:
         # merged[s]: the code of the union of the blocks indexed by the bits
         # of s, whose least element is that of its first block
         k = len(masks)
@@ -310,18 +315,14 @@ def _coarsenings(n: int, mu, weighted: bool):
             spread[s] = spread[s ^ low] + spreads[first]
             merged[s] = ((masks[first] & -masks[first]).bit_length() - 1) * spread[s]
         union = merged.__getitem__
-        table = groupings(k)
-        return 0, 1, (), (tuple([sum(map(union, groups)) for groups in table[0]]), table[1])
+        every, weights = groupings(k)
+        return [sum(map(union, groups)) for groups in every], weights
 
     return (lambda masks: _bell(len(masks))), column
 
 
-# the last of a column whose partition has no block that splits
-_UNCHANGED = ((0,), (1,))
-
-
 @cache
-def _small_columns(n: int, source: str, target: str) -> dict[int, tuple]:
+def _small_columns(n: int, source: str, target: str) -> dict[int, tuple[list[int], list[int]]]:
     """The column of every partition of [n] by code, for n <=
     CACHED_BLOCK_SIZE; built whole at first use, never written to again."""
     _, _, column = _change_of_basis(n, source, target)
@@ -332,11 +333,13 @@ def _small_columns(n: int, source: str, target: str) -> dict[int, tuple]:
 
 def _convert_codes(terms: dict[int, int], source: str, target: str,
                    n: int) -> dict[int, int]:
-    """One change of basis on codes, into or out of p: the sum of coeff
-    times the column of code over the support.  Up to degree
-    CACHED_BLOCK_SIZE the columns come from _small_columns, uncounted (all
-    of [6] visit 2,471 pairs); above, the pairs of the whole support are
-    counted first, and each column lives only while it is summed."""
+    """One change of basis on codes, into or out of p: for each support
+    code with its coeff and each (code, count) of its column, coeff * count
+    added at that code.  Up to degree CACHED_BLOCK_SIZE the columns come
+    from _small_columns, uncounted (all of [6] visit 2,471 pairs); above,
+    the pairs of the whole support are counted first, which is the number
+    of column entries summed, and each column lives only while it is
+    summed."""
     support = [(code, coeff) for code, coeff in terms.items() if coeff]
     if n > CACHED_BLOCK_SIZE:
         decode, pairs, column = _change_of_basis(n, source, target)
@@ -348,15 +351,9 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
         table = _small_columns(n, source, target)
         columns = (table[code] for code, _ in support)
     out: dict[int, int] = {}
-    for (_, coeff), (start, value, head, (deltas, weights)) in zip(support, columns):
-        partial = [(start, value * coeff)]
-        for options in head:
-            partial = [(code + delta, count * w)
-                       for code, count in partial for delta, w in zip(*options)]
-        for start, value in partial:
-            for delta, w in zip(deltas, weights):
-                key = start + delta
-                out[key] = out.get(key, 0) + value * w
+    for (_, coeff), (codes, counts) in zip(support, columns):
+        for code, count in zip(codes, counts):
+            out[code] = out.get(code, 0) + coeff * count
     return out
 
 
@@ -616,7 +613,7 @@ def multiply(f: NCSymElement, g: NCSymElement) -> NCSymElement:
     field = n.bit_length()
     # the slash puts f's fields above g's, whose least elements move up by k;
     # distinct pairs give distinct codes
-    lift = k * sum(1 << field * i for i in range(m))
+    lift = k * ((1 << field * m) - 1) // ((1 << field) - 1) if m else 0
     right = [(_widen(code, m, n) + lift, b) for code, b in gp._terms.items()]
     return _element("p", n, {(_widen(code, k, n) << field * m) + low: a * b
                              for code, a in fp._terms.items() for low, b in right},
@@ -639,15 +636,15 @@ def induce(f: NCSymElement) -> NCSymElement:
 
 
 def act(delta: Permutation, f: NCSymElement) -> NCSymElement:
-    """Symmetric group action by place permutation; relabels p indices."""
+    """Symmetric group action by place permutation: delta maps b_pi to
+    b_(delta pi) in every basis, each defined from label-free interval data,
+    so f's indices are relabeled in its own basis."""
     if delta.n != f.degree:
         raise DomainError("permutation size must equal the element degree")
-    fp = convert(f, "p")
     # decode each block straight into the bitmask of its image
     moved = _decoder(f.degree, [0] + [1 << image for image in delta.images])
-    return convert(from_block_masks("p", f.degree, ((map(sum, moved(code)), count)
-                                                    for code, count in fp._terms.items()),
-                                    fp._den), f.basis)
+    return from_block_masks(f.basis, f.degree, ((map(sum, moved(code)), count)
+                                                for code, count in f._terms.items()), f._den)
 
 
 def coefficient(f: NCSymElement, basis: str, pi: SetPartition) -> Fraction:

@@ -187,6 +187,22 @@ class TestCaches:
             assert elements._small_columns(n, source, target) is table
             assert len(table) == bell_number(n)
 
+    @pytest.mark.parametrize("source,target", DIRECTIONS)
+    def test_every_column_has_one_distinct_code_per_counted_pair(self, source, target):
+        # the cap counts exactly the work: a column has pairs(masks) entries
+        for n in range(9):
+            decode, pairs, column = elements._change_of_basis(n, source, target)
+            small = n <= partitions.CACHED_BLOCK_SIZE
+            table = elements._small_columns(n, source, target) if small else {}
+            for pi in enumerate_partitions(n):
+                code = elements._encode(pi)
+                masks = decode(code)
+                codes, counts = column(code, masks)
+                assert len(codes) == len(counts) == pairs(masks)
+                assert len(set(codes)) == len(codes)
+                if small:
+                    assert (codes, counts) == table[code]
+
     def test_partitions_clears_its_own_caches(self):
         convert(basis_term("p", SetPartition.single_block(5)), "x")
         partitions.clear_caches()

@@ -157,8 +157,38 @@ def test_induce_and_act_on_codes_relabel_partitions(f, data):
     assert dict(induce(f).terms) == summed((pi.adjoin_top(), c) for pi, c in f.terms.items())
     images = data.draw(st.permutations(range(1, f.degree + 1)))
     delta = Permutation(images)
-    assert dict(act(delta, f).terms) == summed((pi.permuted(delta), c)
-                                               for pi, c in f.terms.items())
+    # the same coefficients in any basis: act relabels the indices there
+    g = NCSymElement(data.draw(st.sampled_from(BASES)), f.degree, f.terms)
+    moved = act(delta, g)
+    assert moved.basis == g.basis
+    assert dict(moved.terms) == summed((pi.permuted(delta), c) for pi, c in g.terms.items())
+    assert convert(moved, "p") == act(delta, convert(g, "p"))
+
+
+@st.composite
+def wide_p_elements(draw, n):
+    """A p-basis element of degree n with up to four terms, each partition
+    drawn as the equality pattern of n labels."""
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        labels = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+        blocks = {}
+        for x, label in enumerate(labels, 1):
+            blocks.setdefault(label, []).append(x)
+        pairs.append((SetPartition(n, blocks.values()),
+                      draw(st.integers(min_value=-9, max_value=9))))
+    return NCSymElement("p", n, pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=17), st.integers(min_value=16, max_value=20), st.data())
+def test_slash_product_of_degree_sixteen_and_more_is_the_slash(k, n, data):
+    # from degree 16 on a code field has 5 bits, not 4
+    k = min(k, n - 1)
+    f, g = data.draw(wide_p_elements(k)), data.draw(wide_p_elements(n - k))
+    expected = summed((pi.slash(sigma), a * b)
+                      for pi, a in f.terms.items() for sigma, b in g.terms.items())
+    assert dict(multiply(f, g).terms) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -51,6 +51,8 @@ MUTANTS = [
      "sum(map(code_of, parts)) - whole", "sum(map(code_of, parts))", None),
     ("p-to-eh-scaling", "src/ncsym/elements.py",
      "top // bottom(masks) if scaled", "top if scaled", None),
+    ("column-count-product", "src/ncsym/elements.py",
+     "v * w for v in counts", "v for v in counts", None),
     ("delcon-sign", "src/ncsym/chromatic.py",
      "terms.get(lifted, 0) - coeff", "terms.get(lifted, 0) + coeff", None),
     ("refine-singletons", "src/ncsym/elements.py",
