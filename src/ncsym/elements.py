@@ -43,18 +43,20 @@ the highest one that changed from the previous code, and reduces each
 coefficient on its own, or not at all over the denominator 1.
 
 ``convert`` applies the Rosas-Sagan closed forms on the codes, one step
-into p and one out of it.  A step sums coeff * count over the column of
-each support code, the expansion of that one basis element, in one loop.
-Every column has one shape, (codes, counts): parallel lists of the distinct
-target codes and their int counts, one entry per pair the step visits.  A
-step decodes a code into the elements of each block and builds a bitmask
-only for a block that splits: a one-element block is its own only
-refinement, with weight 1 in every basis.  The counts stay ints: a step out
-of p into e or h also multiplies the denominator by (n - 1)!, which every
-|mu(0, pi)| divides, folds that quotient into the counts, and the result
-is reduced once.  Conversions between m and p sum over coarsenings,
-the set partitions of a partition's k blocks; those between x, e or h and p
-over refinements, the product of one set partition of each block.
+into p and one out of it.  A step sums coeff times the column of each
+support code, the expansion of that one basis element.  A column is a head
+and a body, each (codes, counts), parallel sequences of codes and counts,
+and stands for every head code + body code with count head count * body
+count.  Between p and x, e or h the body is the refinements of the largest
+block, summed straight into the output, so no list holds the whole
+product; between p and m it is the coarsenings.  A step decodes a code
+into the elements of each block and builds a bitmask only for a block that
+splits: a one-element block is its own only refinement, with weight 1 in
+every basis.  The counts stay ints: a step out of p into e or h also
+multiplies the denominator by (n - 1)!, which every |mu(0, pi)| divides,
+and the result is reduced once.  Conversions between m and p sum over
+coarsenings, the set partitions of a partition's k blocks; those between
+x, e or h and p over refinements, one set partition of each block.
 
 Both come from ``partitions.set_partitions``, which caches the set partitions
 of small masks.  Up to degree ``CACHED_BLOCK_SIZE`` = 6 a step reads each
@@ -70,11 +72,11 @@ Before each step above the bound ``convert`` counts the pairs it will
 visit, sum_pi prod_B B_|B| over the support for x, e and h and sum_pi
 B_k(pi) for m, and raises ``ResourceLimitError`` above
 ``MAX_CONVERSION_PAIRS`` = 2,000,000, the number of column entries it will
-sum.  Y of K_9 (1,606,137 pairs) converts into any basis in 0.7 to 1.0 s at
+sum.  Y of K_9 (1,606,137 pairs) converts into any basis in about 1 s at
 under 35 MB; K_10 (16.7 million) and K_12 (2.28 billion) are refused.  A
 step makes at most one output term per pair.  The single term
-p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at 161 MB,
-about 220 bytes a term over the 16 MB of the interpreter.
+p_{1,...,11} into x (678,570 pairs, all distinct terms) peaks at 151 MB,
+about 200 bytes a term over the 17 MB of the interpreter.
 """
 
 from __future__ import annotations
@@ -221,10 +223,11 @@ def _change_of_basis(n: int, source: str, target: str):
     three functions: decode(code), the masks of the blocks of a partition
     that the change needs; pairs(masks), the number of pairs its column
     visits; and column(code, masks), the expansion of b_code alone, which
-    also takes the masks of every block.  A column is (codes, counts), two
-    parallel lists of the target codes, all distinct, and their int counts,
-    pairs(masks) of each.  All three share tables filled on first use: the
-    refinements of each block, or the groupings of each block count.
+    also takes the masks of every block.  A column is a head and a body,
+    each (codes, counts), two parallel sequences of codes and int counts, and
+    stands for the pairs(masks) distinct codes head code + body code, with
+    counts head count * body count.  All three share tables filled on first
+    use: the refinements of each block, or the groupings of each block count.
 
     b_pi over p: m sums mu(pi, sigma) over coarsenings; x sums mu(sigma, pi),
     e sums mu(0, sigma) and h sums |mu(0, sigma)| over refinements.  p_pi
@@ -234,8 +237,7 @@ def _change_of_basis(n: int, source: str, target: str):
     product of mu[j] = (-1)^(j-1) (j-1)!.
     """
     basis = target if source == "p" else source
-    # each block as the list of its elements, so a refinement masks no
-    # singleton: bit labels would hold n ints of up to n bits
+    # each block as the list of its elements, so a refinement masks no singleton
     blocks_of = _decoder(n, range(n + 1))
     bit = (1).__lshift__
     smallest = 1 if basis == "m" else 2
@@ -261,12 +263,13 @@ def _change_of_basis(n: int, source: str, target: str):
         weight = bottom
     code_of = _Memo(lambda mask: _block_code(mask, n)).__getitem__
 
-    def refinements(mask: int) -> tuple[list[int], list[int]]:
+    def refinements(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # the change each set partition of the block makes to the code, and
         # the weights
         every = set_partitions(mask)
         whole = code_of(mask)
-        return [sum(map(code_of, parts)) - whole for parts in every], list(map(weight, every))
+        return (tuple([sum(map(code_of, parts)) - whole for parts in every]),
+                tuple(map(weight, every)))
 
     choices = _Memo(refinements).__getitem__
     scaled = source == "p" and target != "x"
@@ -275,15 +278,17 @@ def _change_of_basis(n: int, source: str, target: str):
     def pairs(masks: list[int]) -> int:
         return prod(_bell(mask.bit_count()) for mask in masks)
 
-    def column(code: int, masks: list[int]) -> tuple[list[int], list[int]]:
+    def column(code: int, masks: list[int]) -> tuple:
+        # the largest block is the body, so the head stays short; a
+        # singleton is its own only refinement, with weight 1
+        last = max(masks, key=int.bit_count, default=0)
         codes, counts = [code], [top // bottom(masks) if scaled else 1]
-        # a singleton is its own only refinement, with weight 1
         for mask in masks:
-            if mask & (mask - 1):
+            if mask & (mask - 1) and mask != last:
                 deltas, weights = choices(mask)
                 codes = [c + d for c in codes for d in deltas]
                 counts = [v * w for v in counts for w in weights]
-        return codes, counts
+        return (codes, counts), choices(last) if last & (last - 1) else _UNIT
 
     return decode, pairs, column
 
@@ -293,16 +298,16 @@ def _coarsenings(n: int, mu, weighted: bool):
     a partition's k blocks, the set partitions of range(k), each weighted by
     prod_groups mu[size] when weighted, else by 1."""
 
-    def grouping(k: int) -> tuple[tuple, list[int]]:
+    def grouping(k: int) -> tuple[tuple, tuple[int, ...]]:
         every = set_partitions((1 << k) - 1)
         if not weighted:
-            return every, [1] * len(every)
-        return every, [prod(mu[g.bit_count()] for g in groups) for groups in every]
+            return every, (1,) * len(every)
+        return every, tuple(prod(mu[g.bit_count()] for g in groups) for groups in every)
 
     groupings = _Memo(grouping).__getitem__
     spread_of = _Memo(lambda mask: _spread(mask, n)).__getitem__
 
-    def column(code: int, masks: list[int]) -> tuple[list[int], list[int]]:
+    def column(code: int, masks: list[int]) -> tuple:
         # merged[s]: the code of the union of the blocks indexed by the bits
         # of s, whose least element is that of its first block
         k = len(masks)
@@ -316,13 +321,17 @@ def _coarsenings(n: int, mu, weighted: bool):
             merged[s] = ((masks[first] & -masks[first]).bit_length() - 1) * spread[s]
         union = merged.__getitem__
         every, weights = groupings(k)
-        return [sum(map(union, groups)) for groups in every], weights
+        return _UNIT, ([sum(map(union, groups)) for groups in every], weights)
 
     return (lambda masks: _bell(len(masks))), column
 
 
+# the head or body of one code 0 with count 1, which changes nothing
+_UNIT = ((0,), (1,))
+
+
 @cache
-def _small_columns(n: int, source: str, target: str) -> dict[int, tuple[list[int], list[int]]]:
+def _small_columns(n: int, source: str, target: str) -> dict[int, tuple]:
     """The column of every partition of [n] by code, for n <=
     CACHED_BLOCK_SIZE; built whole at first use, never written to again."""
     _, _, column = _change_of_basis(n, source, target)
@@ -333,13 +342,12 @@ def _small_columns(n: int, source: str, target: str) -> dict[int, tuple[list[int
 
 def _convert_codes(terms: dict[int, int], source: str, target: str,
                    n: int) -> dict[int, int]:
-    """One change of basis on codes, into or out of p: for each support
-    code with its coeff and each (code, count) of its column, coeff * count
-    added at that code.  Up to degree CACHED_BLOCK_SIZE the columns come
-    from _small_columns, uncounted (all of [6] visit 2,471 pairs); above,
-    the pairs of the whole support are counted first, which is the number
-    of column entries summed, and each column lives only while it is
-    summed."""
+    """One change of basis on codes, into or out of p: the sum of coeff
+    times the column of code over the support.  Up to degree
+    CACHED_BLOCK_SIZE the columns come from _small_columns, uncounted (all
+    of [6] visit 2,471 pairs); above, the pairs of the whole support, the
+    entries to sum, are counted first, and each column lives only while it
+    is summed."""
     support = [(code, coeff) for code, coeff in terms.items() if coeff]
     if n > CACHED_BLOCK_SIZE:
         decode, pairs, column = _change_of_basis(n, source, target)
@@ -351,9 +359,12 @@ def _convert_codes(terms: dict[int, int], source: str, target: str,
         table = _small_columns(n, source, target)
         columns = (table[code] for code, _ in support)
     out: dict[int, int] = {}
-    for (_, coeff), (codes, counts) in zip(support, columns):
-        for code, count in zip(codes, counts):
-            out[code] = out.get(code, 0) + coeff * count
+    for (_, coeff), ((starts, scales), (codes, counts)) in zip(support, columns):
+        for start, scale in zip(starts, scales):
+            scale *= coeff
+            for code, count in zip(codes, counts):
+                key = start + code
+                out[key] = out.get(key, 0) + scale * count
     return out
 
 

@@ -189,7 +189,16 @@ class TestCaches:
 
     @pytest.mark.parametrize("source,target", DIRECTIONS)
     def test_every_column_has_one_distinct_code_per_counted_pair(self, source, target):
-        # the cap counts exactly the work: a column has pairs(masks) entries
+        # the cap counts exactly the work: a column's head times its body
+        # has pairs(masks) entries, no code twice
+        def product(column):
+            (starts, scales), (codes, counts) = column
+            assert len(starts) == len(scales) and len(codes) == len(counts)
+            out = {start + code: scale * count for start, scale in zip(starts, scales)
+                   for code, count in zip(codes, counts)}
+            assert len(out) == len(starts) * len(codes)
+            return out
+
         for n in range(9):
             decode, pairs, column = elements._change_of_basis(n, source, target)
             small = n <= partitions.CACHED_BLOCK_SIZE
@@ -197,11 +206,10 @@ class TestCaches:
             for pi in enumerate_partitions(n):
                 code = elements._encode(pi)
                 masks = decode(code)
-                codes, counts = column(code, masks)
-                assert len(codes) == len(counts) == pairs(masks)
-                assert len(set(codes)) == len(codes)
+                terms = product(column(code, masks))
+                assert len(terms) == pairs(masks)
                 if small:
-                    assert (codes, counts) == table[code]
+                    assert product(table[code]) == terms
 
     def test_partitions_clears_its_own_caches(self):
         convert(basis_term("p", SetPartition.single_block(5)), "x")

@@ -53,6 +53,8 @@ MUTANTS = [
      "top // bottom(masks) if scaled", "top if scaled", None),
     ("column-count-product", "src/ncsym/elements.py",
      "v * w for v in counts", "v for v in counts", None),
+    ("column-body-dropped", "src/ncsym/elements.py",
+     "choices(last) if last & (last - 1) else _UNIT", "_UNIT", None),
     ("delcon-sign", "src/ncsym/chromatic.py",
      "terms.get(lifted, 0) - coeff", "terms.get(lifted, 0) + coeff", None),
     ("refine-singletons", "src/ncsym/elements.py",
